@@ -2,6 +2,7 @@ package pugz
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 
 	"repro/internal/bgzf"
@@ -58,52 +59,65 @@ func (ix *Index) spacing() int64 {
 	return ix.inner.OutSize/int64(n) + 1
 }
 
+// ErrIndexMismatch reports that an Index does not describe the gzip
+// file it is being read against (a stale, damaged or hostile side-car):
+// a checkpoint span failed to decode or did not end where the index
+// says it does. Reads through an Index return gunzip's bytes or an
+// error wrapping this one; test with errors.Is.
+var ErrIndexMismatch = gzindex.ErrMismatch
+
+// memberEnd is the compressed offset just past the indexed member:
+// header, payload up to the index's end bit, and the 8-byte trailer.
+func (ix *Index) memberEnd() int64 {
+	end := ix.payloadOff + ix.inner.EndBit/8 + 8
+	if ix.inner.EndBit%8 != 0 {
+		end++
+	}
+	return end
+}
+
 // coversWholeFile reports whether the indexed member is the entire
 // compressed file (payload + trailer reach exactly to csize): then the
 // index's output size is the file's total decompressed size.
-func (ix *Index) coversWholeFile(csize int64) bool {
-	return ix.payloadOff+(ix.inner.EndBit+7)/8+8 == csize
+func (ix *Index) coversWholeFile(csize int64) bool { return ix.memberEnd() == csize }
+
+// loadIndex parses a side-car blob for a gzip file of csize bytes whose
+// first member's payload starts at payloadOff. Beyond what
+// gzindex.Unmarshal checks of the blob alone, the member it describes
+// must fit in the file.
+func loadIndex(blob []byte, payloadOff, csize int64) (*Index, error) {
+	inner, err := gzindex.Unmarshal(blob)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{inner: inner, payloadOff: payloadOff}
+	if ix.memberEnd() > csize {
+		return nil, fmt.Errorf("%w: indexed member ends at byte %d of a %d-byte file", ErrIndexMismatch, ix.memberEnd(), csize)
+	}
+	return ix, nil
 }
 
 // ReadAt fills p with decompressed bytes starting at offset off,
-// inflating only from the nearest checkpoint.
+// inflating only the checkpoint spans the read touches.
 func (ix *Index) ReadAt(gz []byte, p []byte, off int64) (int, error) {
-	return ix.inner.ReadAt(gz[ix.payloadOff:], p, off)
+	return ix.inner.ReadAt(gz[min(ix.payloadOff, int64(len(gz))):], p, off)
 }
 
-// readAtSource is ReadAt over a File's byte source: the compressed
-// window is loaded on demand starting at the governing checkpoint and
-// grown geometrically until the read decodes (in-memory sources alias
-// the slice and decode in one attempt). The index is never mutated and
-// every window is private to the call, so any number of these may run
-// concurrently — this is File.ReadAt's embarrassingly parallel path.
+// readAtSource is ReadAt over a File's byte source: each span the read
+// touches loads exactly its own compressed bytes (in-memory sources
+// alias the slice). The index is never mutated and every load is
+// private to the call, so any number of these may run concurrently —
+// this is File.ReadAt's embarrassingly parallel path.
 func (ix *Index) readAtSource(f *File, p []byte, off int64) (int, error) {
-	cp, err := ix.inner.FindCheckpoint(off)
-	if err != nil {
-		return 0, err
-	}
-	winBase := ix.payloadOff + cp.Bit/8
-	// First guess: compressed extent rarely exceeds the decompressed
-	// need; pad for the checkpoint-to-offset gap and tree headers.
-	need := (off - cp.Out) + int64(len(p))
-	w, err := f.openWindow(winBase, need+256<<10)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		n, err := ix.inner.ReadAtWindow(w.data, winBase-ix.payloadOff, p, off)
-		if err == nil {
-			f.inflated.Add(off - cp.Out + int64(n))
-			return n, nil
+	n, inflated, err := ix.inner.ReadAtSource(func(lo, hi int64) ([]byte, error) {
+		w, err := f.openWindow(ix.payloadOff+lo, hi-lo)
+		if err != nil {
+			return nil, err
 		}
-		grown, gerr := w.grow()
-		if gerr != nil {
-			return 0, gerr
-		}
-		if !grown {
-			return 0, err
-		}
-	}
+		return w.data, nil
+	}, p, off)
+	f.inflated.Add(inflated)
+	return n, err
 }
 
 // Marshal serialises the index to a compact side-car blob (windows
@@ -117,11 +131,7 @@ func LoadIndex(gz []byte, blob []byte) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := gzindex.Unmarshal(blob)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{inner: inner, payloadOff: int64(m.HeaderLen)}, nil
+	return loadIndex(blob, int64(m.HeaderLen), int64(len(gz)))
 }
 
 // AttachIndex attaches an already-built (or loaded) checkpoint index
@@ -138,11 +148,11 @@ func (f *File) AttachIndex(ix *Index) { f.setIndex(ix) }
 // instead of round-tripping through the blob encoding; SetIndex
 // survives as a thin wrapper for side-car loading.
 func (f *File) SetIndex(blob []byte) error {
-	inner, err := gzindex.Unmarshal(blob)
+	ix, err := loadIndex(blob, f.hdrLen, f.size)
 	if err != nil {
 		return err
 	}
-	f.AttachIndex(&Index{inner: inner, payloadOff: f.hdrLen})
+	f.AttachIndex(ix)
 	return nil
 }
 

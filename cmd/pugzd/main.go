@@ -44,7 +44,7 @@ func main() {
 	addr := flag.String("addr", ":8457", "listen address")
 	dir := flag.String("dir", "", "serve every *.gz under this directory (with .gzx sidecar indexes when present)")
 	manifest := flag.String("manifest", "", "serve the blobs listed in this manifest (one 'name path' or bare path per line)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "handle cache budget in bytes (default 256 MiB)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "cache budget in bytes, open handles plus decoded spans (default 256 MiB)")
 	spacing := flag.Int64("spacing", 0, "background checkpoint-index spacing in decompressed bytes (default 1 MiB; negative disables builds)")
 	drain := flag.Duration("drain", 10*time.Second, "in-flight request drain timeout on shutdown")
 

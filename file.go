@@ -26,10 +26,10 @@ type FileOptions struct {
 	BatchCompressedBytes int
 	// MinChunk is the minimum compressed bytes per chunk.
 	MinChunk int
-	// Index, when set, accelerates ReadAt within the first member to
-	// one checkpoint-to-offset inflate (the zran baseline) instead of a
-	// scan from the start. It must have been built (or loaded) for this
-	// same gzip file.
+	// Index, when set, accelerates ReadAt within the first member to an
+	// inflate of the checkpoint spans the read touches (the zran
+	// baseline) instead of a scan from the start. It must have been
+	// built (or loaded) for this same gzip file.
 	Index *Index
 	// AutoIndexSpacing tunes the restart points a File retains as a
 	// side-channel of its own reads: deep unindexed seeks harvest
@@ -525,13 +525,31 @@ func (f *File) Checkpoints() int {
 }
 
 // InflatedBytes reports the total decompressed bytes this File has
-// decoded or skipped over to serve its reads so far: checkpoint-to-
-// offset inflates, forward-scan discards, pipeline-level skips and
-// Size measuring passes all count, so InflatedBytes/bytes-returned is
-// the File's read amplification. The value is a monotonic diagnostic,
+// decoded or skipped over to serve its reads so far: indexed reads
+// (from the span's checkpoint through the end of the DEFLATE block
+// holding the read's last byte — whole blocks are decoded, so a read
+// of exactly one File.SpanAt extent counts exactly that extent),
+// forward-scan discards, pipeline-level skips and Size measuring
+// passes all count, so InflatedBytes/bytes-returned is the File's
+// read amplification. The value is a monotonic diagnostic,
 // approximate at the margins (a skip aimed past the end of the stream
 // counts its full intended distance) and safe for concurrent use.
 func (f *File) InflatedBytes() int64 { return f.inflated.Load() }
+
+// SpanAt returns the decompressed extent [start, end) of the attached
+// index's checkpoint span holding offset off. A span begins and ends on
+// a DEFLATE block boundary, so ReadAt(buf, start) with len(buf) ==
+// end-start inflates exactly those bytes and nothing else — the unit a
+// cache of decoded ranges should hold. ok is false when no index is
+// attached or off lies outside it (negative, or past the first member).
+// Safe for concurrent use.
+func (f *File) SpanAt(off int64) (start, end int64, ok bool) {
+	ix := f.index()
+	if ix == nil {
+		return 0, 0, false
+	}
+	return ix.inner.SpanAt(off)
+}
 
 // CachedSize returns the total decompressed size if it is already
 // known — measured by an earlier pass, revealed by a cursor reaching
@@ -655,14 +673,15 @@ func (f *File) Close() error {
 
 // srcWindow is a loaded extent of the compressed file: the byte-source
 // abstraction the compressed-offset surfaces (RandomAccessAt,
-// ScanBlocks, FindBlockAt — and the index fast path) decode through
-// instead of whole-file slices. For in-memory sources a window aliases
-// the original slice (zero copy, always extends to EOF); for true
-// io.ReaderAt sources it is filled on demand and grown geometrically
-// when a decode runs off its end. Each window is private to one call,
-// so decoding through windows is safe for any number of concurrent
-// readers (io.ReaderAt sources must tolerate concurrent ReadAt, per
-// that interface's contract).
+// ScanBlocks, FindBlockAt) decode through instead of whole-file slices;
+// the index path, which knows the exact compressed extent of a span,
+// loads it as one window and never grows it. For in-memory sources a
+// window aliases the original slice (zero copy, always extends to EOF);
+// for true io.ReaderAt sources it is filled on demand and grown
+// geometrically when a decode runs off its end. Each window is private
+// to one call, so decoding through windows is safe for any number of
+// concurrent readers (io.ReaderAt sources must tolerate concurrent
+// ReadAt, per that interface's contract).
 type srcWindow struct {
 	src   io.ReaderAt
 	size  int64 // total source size

@@ -2,6 +2,7 @@ package pugz_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -271,5 +272,124 @@ func TestFileRandomAccessAt(t *testing.T) {
 	// end" would need), let alone the whole file.
 	if tail := int64(len(gz)) - from; src.read >= tail {
 		t.Fatalf("random access loaded %d compressed bytes; naive tail read is %d", src.read, tail)
+	}
+}
+
+// TestFileSpanAt: the span geometry tiles the indexed extent, a
+// whole-span ReadAt inflates exactly the span and loads exactly its
+// compressed bytes, and a File without an index has no spans.
+func TestFileSpanAt(t *testing.T) {
+	data, gz := fileFixture(t)
+	src := &trackingReaderAt{data: gz}
+	f, err := pugz.NewFile(src, int64(len(gz)), pugz.FileOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, _, ok := f.SpanAt(0); ok {
+		t.Fatal("SpanAt ok with no index attached")
+	}
+	ix, err := pugz.BuildIndex(gz, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.AttachIndex(ix)
+
+	spans := 0
+	for off := int64(0); off < int64(len(data)); spans++ {
+		start, end, ok := f.SpanAt(off)
+		if !ok || start != off || end <= start || end > int64(len(data)) {
+			t.Fatalf("SpanAt(%d) = [%d, %d) ok=%v", off, start, end, ok)
+		}
+		if s2, e2, ok := f.SpanAt(end - 1); !ok || s2 != start || e2 != end {
+			t.Fatalf("SpanAt(%d) = [%d, %d), want [%d, %d)", end-1, s2, e2, start, end)
+		}
+		inflated, loaded := f.InflatedBytes(), src.read
+		p := make([]byte, end-start)
+		if n, err := f.ReadAt(p, start); err != nil || n != len(p) {
+			t.Fatalf("ReadAt span [%d, %d): n=%d err=%v", start, end, n, err)
+		}
+		if !bytes.Equal(p, data[start:end]) {
+			t.Fatalf("span [%d, %d): content mismatch", start, end)
+		}
+		if got := f.InflatedBytes() - inflated; got != end-start {
+			t.Fatalf("span [%d, %d) inflated %d bytes, want exactly the span", start, end, got)
+		}
+		// A span of FASTQ at level 6 compresses about 4:1; one load of at
+		// most the span's own size is the exact compressed extent, where
+		// a guess-and-grow window would have read past it.
+		if got := src.read - loaded; got <= 0 || got > (end-start)/2 {
+			t.Fatalf("span [%d, %d) loaded %d compressed bytes", start, end, got)
+		}
+		off = end
+	}
+	if spans < 4 {
+		t.Fatalf("only %d spans", spans)
+	}
+	for _, off := range []int64{-1, int64(len(data)), int64(len(data)) + 1} {
+		if _, _, ok := f.SpanAt(off); ok {
+			t.Fatalf("SpanAt(%d) ok outside the index", off)
+		}
+	}
+}
+
+// TestFileIndexMismatch: a side-car for another file, or one describing
+// more file than there is, fails with ErrIndexMismatch — at attach when
+// the blob alone shows it, at the read otherwise — never with bytes.
+func TestFileIndexMismatch(t *testing.T) {
+	data, gz := fileFixture(t)
+	other := extGz(t, 12000, 98, 6) // same shape, different content
+	ix, err := pugz.BuildIndex(other, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ix.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := pugz.LoadIndex(gz[:len(gz)/2], blob); !errors.Is(err, pugz.ErrIndexMismatch) {
+		t.Fatalf("LoadIndex over half the file: err=%v, want ErrIndexMismatch", err)
+	}
+	short, err := pugz.NewFileBytes(gz[:len(gz)/2], pugz.FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := short.SetIndex(blob); !errors.Is(err, pugz.ErrIndexMismatch) {
+		t.Fatalf("SetIndex over half the file: err=%v, want ErrIndexMismatch", err)
+	}
+
+	f, err := pugz.NewFileBytes(gz, pugz.FileOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.SetIndex(blob); err != nil {
+		// Another file's index may still fit this one's length.
+		if !errors.Is(err, pugz.ErrIndexMismatch) {
+			t.Fatal(err)
+		}
+		return
+	}
+	mismatches := 0
+	for off := int64(0); ; {
+		start, end, ok := f.SpanAt(off)
+		if !ok {
+			break
+		}
+		p := make([]byte, end-start)
+		n, err := f.ReadAt(p, start)
+		switch {
+		case errors.Is(err, pugz.ErrIndexMismatch):
+			mismatches++
+		case err != nil && err != io.EOF:
+			t.Fatalf("ReadAt span at %d: %v is not ErrIndexMismatch", start, err)
+		case end > int64(len(data)) || !bytes.Equal(p[:n], data[start:start+int64(n)]):
+			t.Fatalf("ReadAt span at %d: %d bytes, no error, not this file's bytes", start, n)
+		}
+		off = end
+	}
+	if mismatches == 0 {
+		t.Fatal("another file's index read this one without a single mismatch")
 	}
 }

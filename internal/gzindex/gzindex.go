@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/deflate"
@@ -85,24 +86,33 @@ func Build(payload []byte, spacing int64) (*Index, error) {
 	return ix, nil
 }
 
+// ErrMismatch reports that an index does not describe the stream it is
+// being read against: a checkpoint span did not decode, or did not end
+// at the next checkpoint's bit with exactly the bytes the index
+// promises. A sidecar is untrusted input, so a read through one returns
+// the right bytes or an error wrapping ErrMismatch. The check is of
+// geometry only — the format carries no content checksum, so a forged
+// window over honest offsets is beyond it.
+var ErrMismatch = errors.New("gzindex: index does not match the stream")
+
 // FindCheckpoint returns the last checkpoint at or before decompressed
-// offset off — the restart point a positional read decodes forward
-// from. Callers reading through a windowed byte source use it to
-// position the window before calling ReadAtWindow.
+// offset off — the restart point a forward scan resumes from.
 func (ix *Index) FindCheckpoint(off int64) (*Checkpoint, error) {
-	if off < 0 {
-		return nil, fmt.Errorf("gzindex: negative offset %d", off)
+	i, err := ix.spanIndex(off)
+	if err != nil {
+		return nil, err
 	}
-	if off >= ix.OutSize {
-		return nil, fmt.Errorf("gzindex: offset %d past end %d", off, ix.OutSize)
-	}
-	return ix.findCheckpoint(off)
+	return &ix.Checkpoints[i], nil
 }
 
-// findCheckpoint returns the last checkpoint at or before off.
-func (ix *Index) findCheckpoint(off int64) (*Checkpoint, error) {
-	if len(ix.Checkpoints) == 0 {
-		return nil, errors.New("gzindex: empty index")
+// spanIndex returns the ordinal of the checkpoint span holding off:
+// the last checkpoint at or before it.
+func (ix *Index) spanIndex(off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("gzindex: negative offset %d", off)
+	}
+	if off >= ix.OutSize {
+		return 0, fmt.Errorf("gzindex: offset %d past end %d", off, ix.OutSize)
 	}
 	lo, hi := 0, len(ix.Checkpoints)
 	for lo < hi {
@@ -114,102 +124,165 @@ func (ix *Index) findCheckpoint(off int64) (*Checkpoint, error) {
 		}
 	}
 	if lo == 0 {
-		return nil, fmt.Errorf("gzindex: offset %d before first checkpoint", off)
+		return 0, fmt.Errorf("gzindex: offset %d before first checkpoint", off)
 	}
-	return &ix.Checkpoints[lo-1], nil
+	return lo - 1, nil
 }
 
-// windowSink decodes with a preloaded history window, collecting
-// output and stopping after limit bytes.
-type windowSink struct {
-	hist  []byte // window ++ produced output
-	limit int
+// spanEnd returns where span i ends: the next checkpoint, or the end
+// of the stream for the last one. Both are block boundaries.
+func (ix *Index) spanEnd(i int) (bit, out int64) {
+	if i+1 < len(ix.Checkpoints) {
+		return ix.Checkpoints[i+1].Bit, ix.Checkpoints[i+1].Out
+	}
+	return ix.EndBit, ix.OutSize
 }
 
-func (s *windowSink) BlockStart(flate.BlockEvent) error { return nil }
-func (s *windowSink) Literal(b byte) error {
-	s.hist = append(s.hist, b)
-	if s.produced() >= s.limit {
-		return flate.Stop
+// SpanAt returns the decompressed extent [start, end) of the checkpoint
+// span holding off — the unit ReadAtSource decodes with no waste, and
+// so the unit worth caching. ok is false when off is outside the index.
+func (ix *Index) SpanAt(off int64) (start, end int64, ok bool) {
+	i, err := ix.spanIndex(off)
+	if err != nil {
+		return 0, 0, false
 	}
-	return nil
+	_, end = ix.spanEnd(i)
+	return ix.Checkpoints[i].Out, end, true
 }
-func (s *windowSink) Match(length, dist int) error {
-	n := len(s.hist)
-	if dist > n {
-		return flate.ErrDanglingRef
-	}
-	src := n - dist
-	if dist >= length {
-		s.hist = append(s.hist, s.hist[src:src+length]...)
-	} else {
-		for i := 0; i < length; i++ {
-			s.hist = append(s.hist, s.hist[src+i])
+
+// Source returns payload bytes [lo, hi), or the part of them that
+// exists. The slice is only read, and only until the call that asked
+// for it returns.
+type Source func(lo, hi int64) ([]byte, error)
+
+// spanSink is a ByteSink (so the multi-symbol fast loop runs straight
+// into its buffer) that ends the decode on a block boundary: at the
+// span's end bit, where it also checks the index's promise, or as soon
+// as a partial read is covered.
+type spanSink struct {
+	flate.ByteSink
+	endBit  int64 // where the span ends, relative to the loaded bytes
+	spanLen int64 // bytes the index says the span holds
+	need    int64 // bytes the caller wants, counted from the span start
+}
+
+func (s *spanSink) BlockEnd(nextBit int64) error {
+	n := int64(len(s.Out) - s.Prefix)
+	switch {
+	case nextBit >= s.endBit:
+		if nextBit != s.endBit || n != s.spanLen {
+			return ErrMismatch
 		}
-	}
-	if s.produced() >= s.limit {
+		return flate.Stop
+	case n > s.spanLen:
+		return ErrMismatch
+	case n >= s.need && s.need < s.spanLen:
 		return flate.Stop
 	}
 	return nil
 }
-func (s *windowSink) BlockEnd(int64) error { return nil }
-func (s *windowSink) produced() int        { return len(s.hist) - windowSize }
-func (s *windowSink) output() []byte       { return s.hist[windowSize:] }
 
-// ReadAt fills p with decompressed bytes starting at output offset
-// off, decoding forward from the nearest checkpoint. It returns the
-// number of bytes read; short reads happen only at end of stream.
-func (ix *Index) ReadAt(payload []byte, p []byte, off int64) (int, error) {
-	return ix.ReadAtWindow(payload, 0, p, off)
-}
+// blockSlack is the output room reserved past a partial read's last
+// byte for the rest of its block; a longer block grows the buffer.
+const blockSlack = 256 << 10
 
-// ReadAtWindow is ReadAt over a window of the payload: win[0] is
-// payload byte winBase, and the window must start at or before the
-// checkpoint governing off (see FindCheckpoint). A window too short
-// for the read fails with a truncation-style error; callers backed by
-// a partial byte source grow the window and retry.
-func (ix *Index) ReadAtWindow(win []byte, winBase int64, p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("gzindex: negative offset %d", off)
+// scratch recycles the buffers inflate decodes into (window, span and
+// slack, contiguous because matches reach back into the window): a read
+// copies its bytes out and returns the buffer, so it allocates nothing
+// beyond what its caller supplied.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// inflate decodes whole blocks of span i from its checkpoint until at
+// least need bytes are out, loading exactly the compressed bytes
+// between the span's two bits. A read of the whole span (need equal to
+// its length) must end on the span's end bit with exactly that many
+// bytes; a shorter one stops at the first block boundary covering it.
+// The result aliases *buf, which inflate reuses or replaces.
+func (ix *Index) inflate(i int, src Source, need int64, buf *[]byte) ([]byte, error) {
+	cp := &ix.Checkpoints[i]
+	endBit, endOut := ix.spanEnd(i)
+	if cp.Bit < 0 || endBit <= cp.Bit || endOut < cp.Out {
+		return nil, fmt.Errorf("gzindex: span %d: %w: checkpoints out of order", i, ErrMismatch)
 	}
-	if off >= ix.OutSize {
-		return 0, fmt.Errorf("gzindex: offset %d past end %d", off, ix.OutSize)
+	lo, hi := cp.Bit/8, endBit/8
+	if endBit%8 != 0 {
+		hi++
 	}
-	cp, err := ix.findCheckpoint(off)
+	comp, err := src(lo, hi)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	relBit := cp.Bit - winBase*8
-	if relBit < 0 {
-		return 0, fmt.Errorf("gzindex: window at byte %d starts past checkpoint bit %d", winBase, cp.Bit)
-	}
-	r, err := bitio.NewReaderAt(win, relBit)
+	r, err := bitio.NewReaderAt(comp, cp.Bit-lo*8)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("gzindex: span %d: %w: %w", i, ErrMismatch, err)
 	}
-	need := int(off-cp.Out) + len(p)
-	sink := &windowSink{hist: make([]byte, 0, windowSize+need+flate.MaxMatch), limit: need}
-	sink.hist = append(sink.hist, cp.Window...)
+	// Only as much of the window as the stream has produced is history:
+	// a reference reaching before the stream start then fails as in a
+	// plain gunzip instead of reading the zero padding.
+	hist := cp.Window
+	if int64(len(hist)) > cp.Out {
+		hist = hist[int64(len(hist))-cp.Out:]
+	}
+	s := &spanSink{endBit: endBit - lo*8, spanLen: endOut - cp.Out, need: need}
+	if room := len(hist) + int(min(s.spanLen, need+blockSlack)) + flate.MaxMatch + 2; cap(*buf) < room {
+		*buf = make([]byte, 0, room)
+	}
+	s.Out = append((*buf)[:0], hist...)
+	s.Prefix = len(hist)
+	defer func() { *buf = s.Out }() // the sink may have grown it
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
-	for sink.produced() < need {
-		final, err := dec.DecodeBlock(r, sink)
+	for {
+		final, err := dec.DecodeBlock(r, s)
+		switch {
+		case errors.Is(err, flate.Stop):
+			return s.Output(), nil
+		case errors.Is(err, ErrMismatch):
+			return nil, fmt.Errorf("gzindex: span %d: %w", i, err)
+		case err != nil:
+			return nil, fmt.Errorf("gzindex: span %d: %w: %w", i, ErrMismatch, err)
+		case final:
+			return nil, fmt.Errorf("gzindex: span %d: %w: stream ends inside it", i, ErrMismatch)
+		}
+	}
+}
+
+// ReadAtSource fills p with decompressed bytes starting at output
+// offset off, one checkpoint span at a time: each span the read touches
+// is decoded from its own checkpoint, so nothing before the first span
+// and nothing after the last block needed is inflated. It returns the
+// bytes read (short only at end of stream) and the bytes inflated to
+// produce them.
+func (ix *Index) ReadAtSource(src Source, p []byte, off int64) (n int, inflated int64, err error) {
+	i, err := ix.spanIndex(off)
+	if err != nil {
+		return 0, 0, err
+	}
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	for ; n < len(p) && i < len(ix.Checkpoints); i++ {
+		start := ix.Checkpoints[i].Out
+		_, end := ix.spanEnd(i)
+		need := min(off+int64(len(p)-n), end) - start
+		out, err := ix.inflate(i, src, need, buf)
+		inflated += int64(len(out))
 		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			return 0, err
+			return n, inflated, err
 		}
-		if final {
-			break
-		}
+		m := copy(p[n:], out[off-start:need])
+		n += m
+		off += int64(m)
 	}
-	out := sink.output()
-	skip := int(off - cp.Out)
-	if skip >= len(out) {
-		return 0, errors.New("gzindex: stream ended before requested offset")
-	}
-	return copy(p, out[skip:]), nil
+	return n, inflated, nil
+}
+
+// ReadAt is ReadAtSource over a payload held in memory.
+func (ix *Index) ReadAt(payload []byte, p []byte, off int64) (int, error) {
+	n, _, err := ix.ReadAtSource(func(lo, hi int64) ([]byte, error) {
+		lo, hi = min(lo, int64(len(payload))), min(hi, int64(len(payload)))
+		return payload[lo:hi], nil
+	}, p, off)
+	return n, err
 }
 
 // --- Serialization ----------------------------------------------------
@@ -246,7 +319,18 @@ func (ix *Index) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// Unmarshal parses a serialised index.
+// maxBytesPerBit is DEFLATE's best case: a 258-byte match behind a
+// one-bit length code and a one-bit distance code.
+const maxBytesPerBit = 129
+
+// Unmarshal parses a serialised index. A sidecar is untrusted input:
+// the checkpoints must be strictly increasing in both bit and output
+// offset and lie inside [0, EndBit) and [0, OutSize], no span may claim
+// more output than DEFLATE can produce from its bits (so a reader may
+// size buffers from the index once it has checked EndBit against the
+// file), the count must fit in the bytes that follow it, and a window
+// inflates under a hard 32 KiB bound — so no blob makes Unmarshal
+// allocate more than a small multiple of its own length.
 func Unmarshal(data []byte) (*Index, error) {
 	if len(data) < 4+2+8+8+4 {
 		return nil, errors.New("gzindex: truncated index")
@@ -263,10 +347,21 @@ func Unmarshal(data []byte) (*Index, error) {
 		OutSize: int64(binary.LittleEndian.Uint64(data[pos:])),
 		EndBit:  int64(binary.LittleEndian.Uint64(data[pos+8:])),
 	}
+	if ix.OutSize < 0 || ix.EndBit < 0 {
+		return nil, errors.New("gzindex: negative stream extent")
+	}
 	count := int(binary.LittleEndian.Uint32(data[pos+16:]))
 	pos += 20
+	if count == 0 {
+		return nil, errors.New("gzindex: no checkpoints")
+	}
+	if count > (len(data)-pos)/20 {
+		return nil, fmt.Errorf("gzindex: %d checkpoints cannot fit in %d bytes", count, len(data)-pos)
+	}
+	ix.Checkpoints = make([]Checkpoint, 0, count)
+	prev := Checkpoint{Bit: -1, Out: -1}
 	for i := 0; i < count; i++ {
-		if len(data) < pos+20 {
+		if len(data)-pos < 20 {
 			return nil, errors.New("gzindex: truncated checkpoint")
 		}
 		cp := Checkpoint{
@@ -275,13 +370,20 @@ func Unmarshal(data []byte) (*Index, error) {
 		}
 		wlen := int(binary.LittleEndian.Uint32(data[pos+16:]))
 		pos += 20
-		if len(data) < pos+wlen {
+		if cp.Bit <= prev.Bit || cp.Out <= prev.Out || cp.Bit >= ix.EndBit || cp.Out > ix.OutSize {
+			return nil, fmt.Errorf("gzindex: checkpoint %d (bit %d, out %d) out of order or out of range", i, cp.Bit, cp.Out)
+		}
+		if i > 0 && (cp.Out-prev.Out)/maxBytesPerBit > cp.Bit-prev.Bit {
+			return nil, fmt.Errorf("gzindex: span %d claims %d bytes from %d bits", i-1, cp.Out-prev.Out, cp.Bit-prev.Bit)
+		}
+		prev = cp
+		if wlen > len(data)-pos {
 			return nil, errors.New("gzindex: truncated window")
 		}
 		raw := data[pos : pos+wlen]
 		pos += wlen
 		if deflated {
-			w, err := flate.DecompressAll(raw, 0)
+			w, err := inflateWindow(raw)
 			if err != nil {
 				return nil, fmt.Errorf("gzindex: checkpoint %d window: %w", i, err)
 			}
@@ -294,5 +396,33 @@ func Unmarshal(data []byte) (*Index, error) {
 		}
 		ix.Checkpoints = append(ix.Checkpoints, cp)
 	}
+	if (ix.OutSize-prev.Out)/maxBytesPerBit > ix.EndBit-prev.Bit {
+		return nil, fmt.Errorf("gzindex: last span claims %d bytes from %d bits", ix.OutSize-prev.Out, ix.EndBit-prev.Bit)
+	}
 	return ix, nil
+}
+
+// inflateWindow decodes one deflated window through a sliding tail
+// sink that stops one byte past the window size, so a hostile blob
+// cannot make it allocate what it claims to expand to.
+func inflateWindow(raw []byte) ([]byte, error) {
+	r, err := bitio.NewReaderAt(raw, 0)
+	if err != nil {
+		return nil, err
+	}
+	sink := flate.NewTailSink(nil)
+	defer sink.Release()
+	sink.Limit = windowSize + 1
+	dec := flate.GetDecoder(flate.Options{})
+	defer flate.PutDecoder(dec)
+	dec.SetTrackStart(true)
+	if err := dec.DecodeStream(r, sink); err != nil {
+		return nil, err
+	}
+	if sink.Len() != windowSize {
+		return nil, fmt.Errorf("window size %d", sink.Len())
+	}
+	w := make([]byte, windowSize)
+	sink.WindowInto(w)
+	return w, nil
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/fastq"
 )
 
-func fixture(t *testing.T, reads, level int) (payload, data []byte) {
+func fixture(t testing.TB, reads, level int) (payload, data []byte) {
 	t.Helper()
 	data = fastq.Generate(fastq.GenOptions{Reads: reads, Seed: 51})
 	payload, err := deflate.Compress(data, level)

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -22,13 +23,21 @@ import (
 // the meantime. Eviction is refcount-aware: a handle evicted while
 // requests still hold it stays fully readable until the last Release,
 // and only then closes.
+//
+// Under the handles sits the decoded-span cache: the plaintext of the
+// checkpoint spans indexed handles have served, so a range touching a
+// span some earlier request decoded is a map lookup and a write, not an
+// inflate. Spans belong to their handle (a reopened blob starts with
+// none), are charged byte for byte against the same budget, and are
+// evicted, least recently used first, before any handle is.
 
 // CacheOptions configures the server's handle cache.
 type CacheOptions struct {
 	// BudgetBytes bounds the total estimated byte cost of resident
 	// handles (base handle overhead + index windows + retained restart
-	// points). 0 selects 256 MiB. A single handle may exceed the budget
-	// by itself; the cache then holds just that handle.
+	// points) plus the decoded spans cached under them. 0 selects
+	// 256 MiB. A single handle may exceed the budget by itself; the
+	// cache then holds just that handle and no spans.
 	BudgetBytes int64
 	// File is the configuration applied to every opened pugz.File.
 	File pugz.FileOptions
@@ -57,17 +66,43 @@ type handleCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry // guarded by mu
 	lru     *list.List             // of *cacheEntry; front = most recently used; guarded by mu
-	used    int64                  // guarded by mu
+	spanLRU *list.List             // of *spanEntry, all handles'; front = most recently used; guarded by mu
+	used    int64                  // handles + spans; guarded by mu
+	spans   int64                  // the span part of used; guarded by mu
 	closed  bool                   // guarded by mu
 
-	flight flightGroup // keyed by blob name: cold opens
+	flight     flightGroup[string]  // keyed by blob name: cold opens
+	spanFlight flightGroup[spanKey] // cold span decodes
+}
+
+// spanKey names one checkpoint span of one resident handle. The handle
+// is the entry, not the blob name: a blob evicted and reopened gets a
+// new entry, so nothing decoded through the old one can be served for
+// it.
+type spanKey struct {
+	e     *cacheEntry
+	start int64
+}
+
+// spanEntry is one cached span: the plaintext from a checkpoint to the
+// next. data is immutable once stored; requests write sub-slices of it
+// to their responses without copying, and a span evicted mid-write
+// stays valid for that request (the garbage collector, not the cache,
+// frees it).
+type spanEntry struct {
+	key  spanKey
+	data []byte
+	elem *list.Element
 }
 
 type cacheEntry struct {
-	blob Blob
-	f    *pugz.File
-	src  *os.File
-	elem *list.Element
+	blob  Blob
+	f     *pugz.File
+	src   *os.File
+	elem  *list.Element
+	stats *metrics.BlobStats
+
+	spans map[int64]*spanEntry // by span start; guarded by handleCache.mu
 
 	cost         int64 // current charge against the budget
 	indexBytes   int64 // attached-index part of cost
@@ -86,6 +121,7 @@ func newHandleCache(o CacheOptions) *handleCache {
 		opts:    o,
 		entries: make(map[string]*cacheEntry),
 		lru:     list.New(),
+		spanLRU: list.New(),
 	}
 }
 
@@ -131,7 +167,7 @@ func (c *handleCache) acquire(b Blob) (*cacheHandle, error) {
 				// The opener already counted its miss; only acquires
 				// served by an entry someone else opened count as hits.
 				met.CacheHits.Add(1)
-				met.Blob(b.Name).CacheHits.Add(1)
+				e.stats.CacheHits.Add(1)
 			}
 			c.maybeBuildIndex(e)
 			return &cacheHandle{c: c, e: e}, nil
@@ -175,7 +211,7 @@ func (c *handleCache) open(b Blob) error {
 		src.Close()
 		return fmt.Errorf("serve: open %s: %w", b.Name, err)
 	}
-	e := &cacheEntry{blob: b, f: f, src: src, fresh: true}
+	e := &cacheEntry{blob: b, f: f, src: src, fresh: true, stats: met.Blob(b.Name), spans: make(map[int64]*spanEntry)}
 	if b.IndexPath != "" {
 		blob, err := os.ReadFile(b.IndexPath)
 		if err == nil {
@@ -217,16 +253,22 @@ func handleCost(f *pugz.File, indexBytes int64) int64 {
 	return handleBaseCost + indexBytes + int64(f.Checkpoints())*(32<<10)
 }
 
-// evictOverflowLocked drops least-recently-used entries until the
-// budget holds, walking the LRU tail but never evicting except (the
-// entry being used right now) or fresh entries (opened but not yet
-// claimed by their waiters — evicting those would let a cold storm
-// thrash opens forever). Exempt entries can leave the budget
+// evictOverflowLocked restores the budget: first by dropping decoded
+// spans, least recently used first and whichever handle owns them (a
+// span costs one decode to bring back, a handle an open, a sidecar load
+// or an index build), then by dropping least-recently-used entries,
+// walking the LRU tail but never evicting except (the entry being used
+// right now) or fresh entries (opened but not yet claimed by their
+// waiters — evicting those would let a cold storm thrash opens
+// forever). Exempt entries can leave the budget
 // transiently overshot; the next claim clears their exemption and the
 // following acquire rebalances. Returns the victims whose refcount
 // already reached zero; the caller closes them after unlocking.
 // Victims still leased stay usable and close on their last Release.
 func (c *handleCache) evictOverflowLocked(except *cacheEntry) []*cacheEntry {
+	for c.used > c.opts.BudgetBytes && c.spanLRU.Len() > 0 {
+		c.dropSpanLocked(c.spanLRU.Back().Value.(*spanEntry))
+	}
 	var victims []*cacheEntry
 	for el := c.lru.Back(); el != nil && c.used > c.opts.BudgetBytes; {
 		prev := el.Prev()
@@ -235,9 +277,9 @@ func (c *handleCache) evictOverflowLocked(except *cacheEntry) []*cacheEntry {
 			c.lru.Remove(el)
 			delete(c.entries, e.blob.Name)
 			c.used -= e.cost
-			e.evicted = true
+			e.evicted = true // its spans went first: the loop above emptied spanLRU
 			c.opts.Metrics.CacheEvictions.Add(1)
-			c.opts.Metrics.Blob(e.blob.Name).Evictions.Add(1)
+			e.stats.Evictions.Add(1)
 			if e.refs == 0 {
 				victims = append(victims, e)
 			}
@@ -257,6 +299,100 @@ func closeVictims(victims []*cacheEntry) {
 func (c *handleCache) updateGaugesLocked() {
 	c.opts.Metrics.CacheUsedBytes.Set(c.used)
 	c.opts.Metrics.CacheHandles.Set(int64(c.lru.Len()))
+	c.opts.Metrics.SpanBytes.Set(c.spans)
+}
+
+// dropSpanLocked evicts one cached span and returns its bytes to the
+// budget.
+func (c *handleCache) dropSpanLocked(sp *spanEntry) {
+	c.spanLRU.Remove(sp.elem)
+	delete(sp.key.e.spans, sp.key.start)
+	c.used -= int64(len(sp.data))
+	c.spans -= int64(len(sp.data))
+	c.opts.Metrics.SpanEvictions.Add(1)
+	sp.key.e.stats.SpanEvictions.Add(1)
+}
+
+// lookupSpan returns the cached span of e starting at start, marked
+// most recently used, or nil. room tells a miss whether a span of size
+// bytes could be kept at all: what the resident handles leave of the
+// budget must hold it, since spans are evicted before any handle.
+func (c *handleCache) lookupSpan(e *cacheEntry, start, size int64) (data []byte, room bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if sp, ok := e.spans[start]; ok {
+		c.spanLRU.MoveToFront(sp.elem)
+		return sp.data, true
+	}
+	return nil, c.used-c.spans+size <= c.opts.BudgetBytes
+}
+
+// span returns the plaintext of h's checkpoint span [start, end) (see
+// pugz.File.SpanAt): from the cache, from another request's decode of
+// the same span already in flight (both hits), or by one ReadAt of
+// exactly the span — which the index decodes from its checkpoint with
+// no waste — whose result is then cached for as long as the budget and
+// the handle's residency allow (a miss). The slice is shared and must
+// not be written. A nil slice with a nil error means the budget has no
+// room for the span next to the handles: decoding all of it for a read
+// of part of it would be pure waste, and the caller reads directly.
+func (c *handleCache) span(h *cacheHandle, start, end int64) ([]byte, error) {
+	e, met := h.e, c.opts.Metrics
+	data, room := c.lookupSpan(e, start, end-start)
+	if !room {
+		return nil, nil
+	}
+	decoded := false
+	if data == nil {
+		v, err := c.spanFlight.Do(spanKey{e, start}, func() (any, error) {
+			// A flight that landed between the miss above and this one
+			// starting has already stored the span.
+			if data, _ := c.lookupSpan(e, start, end-start); data != nil {
+				return data, nil
+			}
+			decoded = true
+			met.SpanMisses.Add(1)
+			e.stats.SpanMisses.Add(1)
+			buf := make([]byte, end-start)
+			if n, err := e.f.ReadAt(buf, start); n < len(buf) {
+				if err == nil {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, fmt.Errorf("serve: %s: span at %d: %w", e.blob.Name, start, err)
+			}
+			c.storeSpan(e, start, buf)
+			return buf, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		data = v.([]byte)
+	}
+	if !decoded {
+		met.SpanHits.Add(1)
+		e.stats.SpanHits.Add(1)
+	}
+	return data, nil
+}
+
+// storeSpan caches a decoded span under its handle. A handle that has
+// left the cache keeps serving its leases but caches nothing more: its
+// spans would outlive the entry that is charged for them.
+func (c *handleCache) storeSpan(e *cacheEntry, start int64, data []byte) {
+	c.mu.Lock()
+	if e.evicted {
+		c.mu.Unlock()
+		return
+	}
+	sp := &spanEntry{key: spanKey{e, start}, data: data}
+	sp.elem = c.spanLRU.PushFront(sp)
+	e.spans[start] = sp
+	c.used += int64(len(data))
+	c.spans += int64(len(data))
+	victims := c.evictOverflowLocked(e)
+	c.updateGaugesLocked()
+	c.mu.Unlock()
+	closeVictims(victims)
 }
 
 // releaseEntry drops one lease: samples the File's inflation delta
@@ -356,12 +492,14 @@ func (c *handleCache) close() {
 	for name, e := range c.entries {
 		delete(c.entries, name)
 		e.evicted = true
+		e.spans = nil
 		if e.refs == 0 {
 			victims = append(victims, e)
 		}
 	}
 	c.lru.Init()
-	c.used = 0
+	c.spanLRU.Init()
+	c.used, c.spans = 0, 0
 	c.updateGaugesLocked()
 	c.mu.Unlock()
 	closeVictims(victims)

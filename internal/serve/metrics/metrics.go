@@ -84,6 +84,10 @@ type BlobStats struct {
 	CacheHits   Counter
 	CacheMisses Counter
 	Evictions   Counter
+	// Decoded-span cache traffic (see Registry.SpanHits).
+	SpanHits      Counter
+	SpanMisses    Counter
+	SpanEvictions Counter
 }
 
 // Registry holds every metric the serving subsystem exports. The zero
@@ -117,8 +121,18 @@ type Registry struct {
 	CacheHits      Counter
 	CacheMisses    Counter
 	CacheEvictions Counter
-	CacheUsedBytes Gauge // current byte cost of resident handles
+	CacheUsedBytes Gauge // current byte cost of resident handles and their cached spans
 	CacheHandles   Gauge // resident handle count
+
+	// Decoded-span cache, charged against the same budget as the handles
+	// (CacheUsedBytes includes SpanBytes). A hit is a checkpoint span
+	// served from memory or from another request's decode in flight; a
+	// miss is one span decode, so BytesInflated grows by one span length
+	// per miss and not at all per hit.
+	SpanHits      Counter
+	SpanMisses    Counter
+	SpanEvictions Counter
+	SpanBytes     Gauge // decoded bytes resident
 
 	// Index builds (the background singleflight path).
 	IndexBuilds         Counter // builds started
@@ -188,6 +202,10 @@ func (g *Registry) Snapshot() map[string]int64 {
 		"cache_evictions":        g.CacheEvictions.Value(),
 		"cache_used_bytes":       g.CacheUsedBytes.Value(),
 		"cache_handles":          g.CacheHandles.Value(),
+		"span_hits":              g.SpanHits.Value(),
+		"span_misses":            g.SpanMisses.Value(),
+		"span_evictions":         g.SpanEvictions.Value(),
+		"span_bytes":             g.SpanBytes.Value(),
 		"index_builds":           g.IndexBuilds.Value(),
 		"index_builds_done":      g.IndexBuildsDone.Value(),
 		"index_build_errors":     g.IndexBuildErrors.Value(),
@@ -202,6 +220,9 @@ func (g *Registry) Snapshot() map[string]int64 {
 		m["blob."+name+".cache_hits"] = b.CacheHits.Value()
 		m["blob."+name+".cache_misses"] = b.CacheMisses.Value()
 		m["blob."+name+".evictions"] = b.Evictions.Value()
+		m["blob."+name+".span_hits"] = b.SpanHits.Value()
+		m["blob."+name+".span_misses"] = b.SpanMisses.Value()
+		m["blob."+name+".span_evictions"] = b.SpanEvictions.Value()
 	}
 	g.mu.Unlock()
 	return m

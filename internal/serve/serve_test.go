@@ -40,7 +40,11 @@ func mustCompress(t testing.TB, data []byte, level int) []byte {
 // a multi-member blob, an empty member, and one sidecar index.
 func newFixture(t testing.TB, reads int) *fixture {
 	t.Helper()
-	dir := t.TempDir()
+	return buildFixture(t, t.TempDir(), reads)
+}
+
+func buildFixture(t testing.TB, dir string, reads int) *fixture {
+	t.Helper()
 	fx := &fixture{dir: dir, oracle: map[string][]byte{}}
 
 	write := func(name string, gz []byte) {

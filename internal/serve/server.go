@@ -3,17 +3,19 @@
 // single-range semantics at *decompressed* offsets. A Range request
 // against a 40 GiB .gz behaves exactly like one against the inflated
 // file — without the file ever existing inflated — because every
-// response decodes only the checkpoint-to-offset gap (indexed), the
-// scan tail (pooled cursors), or the skip distance (unindexed deep
-// seeks) that pugz.File needs for that read.
+// response decodes only the checkpoint spans it touches and no other
+// request has decoded yet (indexed), the scan tail (pooled cursors), or
+// the skip distance (unindexed deep seeks) that pugz.File needs for
+// that read.
 //
 // The subsystem has three layers:
 //
 //   - Catalog: the immutable blob set (directory scan or manifest).
 //   - handleCache: a byte-budgeted, refcount-aware LRU of open
 //     pugz.File handles shared across requests, with per-blob
-//     singleflight opens and one background checkpoint-index build per
-//     resident handle.
+//     singleflight opens, one background checkpoint-index build per
+//     resident handle, and under each indexed handle the decoded
+//     checkpoint spans it has served, charged to the same budget.
 //   - Server: the HTTP surface (GET/HEAD /blobs/{name}, the listing,
 //     health, and the metrics registry).
 package serve
@@ -24,9 +26,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	pugz "repro"
 	"repro/internal/serve/metrics"
@@ -36,7 +38,8 @@ import (
 type Options struct {
 	// Catalog is the blob set to serve; required.
 	Catalog *Catalog
-	// CacheBudgetBytes bounds the handle cache (see CacheOptions).
+	// CacheBudgetBytes bounds the handle cache and the decoded spans
+	// cached under it (see CacheOptions).
 	CacheBudgetBytes int64
 	// File configures every opened pugz.File (threads, batch size,
 	// cursor pool).
@@ -44,12 +47,14 @@ type Options struct {
 	// IndexSpacing is the background index build spacing; negative
 	// disables builds (see CacheOptions.IndexSpacing).
 	IndexSpacing int64
-	// CopyBufferBytes sizes the per-request copy buffer (default
-	// 1 MiB). Large buffers matter on indexed handles: each ReadAt
-	// inflates from the nearest checkpoint, so the copy granularity
-	// should amortise that.
-	CopyBufferBytes int
 }
+
+// fallbackCopyBytes is the copy granularity of bodies served without an
+// index (a handle whose background build has not attached yet, and the
+// members after the first): the File.Records scan chunk, large enough
+// that the pooled cursor's per-call cost does not show. Indexed bodies
+// are written from cached spans and need no buffer.
+const fallbackCopyBytes = 256 << 10
 
 // Server serves a Catalog over HTTP. Create with New, mount Handler,
 // Close on shutdown (after the HTTP server has drained).
@@ -57,18 +62,13 @@ type Server struct {
 	cat   *Catalog
 	cache *handleCache
 	met   *metrics.Registry
-
-	bufBytes int
-	bufPool  sync.Pool
+	bulk  *pacer
 }
 
 // New builds a Server over the given catalog.
 func New(o Options) (*Server, error) {
 	if o.Catalog == nil || o.Catalog.Len() == 0 {
 		return nil, fmt.Errorf("serve: empty catalog")
-	}
-	if o.CopyBufferBytes <= 0 {
-		o.CopyBufferBytes = 1 << 20
 	}
 	met := metrics.New()
 	s := &Server{
@@ -79,12 +79,8 @@ func New(o Options) (*Server, error) {
 			IndexSpacing: o.IndexSpacing,
 			Metrics:      met,
 		}),
-		met:      met,
-		bufBytes: o.CopyBufferBytes,
-	}
-	s.bufPool.New = func() any {
-		b := make([]byte, s.bufBytes)
-		return &b
+		met:  met,
+		bulk: newPacer(int64(runtime.GOMAXPROCS(0))*bulkBytesPerSecPerCPU, bulkBucketBytes),
 	}
 	return s, nil
 }
@@ -234,14 +230,48 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request, name string)
 		return
 	}
 
-	buf := s.bufPool.Get().(*[]byte)
-	_, cerr := io.CopyBuffer(rec, io.NewSectionReader(f, span.start, span.length), *buf)
-	s.bufPool.Put(buf)
-	if cerr != nil {
+	if err := s.writeBody(rec, h, span.start, span.length); err != nil {
 		// The status line is gone; all we can do is cut the body short
 		// (the client sees a truncated Content-Length) and count it.
 		s.met.CopyErrors.Add(1)
 	}
+}
+
+// writeBody writes decompressed bytes [off, off+n) of h's blob to w.
+// Inside an attached index the body is sub-slices of cached checkpoint
+// spans, each decoded at most once however many requests touch it,
+// paced past the body's first bulkAfterBytes (see pace.go); where no
+// index reaches — none attached yet, or past the first
+// member — or the budget has no room for a span, the rest streams
+// through File.ReadAt, which inflates no more than the read needs.
+func (s *Server) writeBody(w io.Writer, h *cacheHandle, off, n int64) error {
+	f := h.File()
+	cached := &bulkWriter{w: w, bucket: s.bulk}
+	for n > 0 {
+		var data []byte
+		start, end, ok := f.SpanAt(off)
+		if ok {
+			var err error
+			if data, err = s.cache.span(h, start, end); err != nil {
+				return err
+			}
+		}
+		if data == nil {
+			buf := make([]byte, min(n, fallbackCopyBytes))
+			_, err := io.CopyBuffer(w, io.NewSectionReader(f, off, n), buf)
+			return err
+		}
+		piece := data[off-start:]
+		if int64(len(piece)) > n {
+			piece = piece[:n]
+		}
+		if _, err := cached.Write(piece); err != nil {
+			return err
+		}
+		off += int64(len(piece))
+		n -= int64(len(piece))
+	}
+	return nil
 }
 
 // respRecorder captures the status and body bytes of a response for

@@ -4,12 +4,12 @@ import "sync"
 
 // flightGroup is a minimal singleflight: concurrent Do calls with the
 // same key share one execution of fn and all receive its result. It
-// exists so N concurrent cold requests for the same blob trigger
-// exactly one handle open (and, transitively, one background index
-// build), without pulling in golang.org/x/sync.
-type flightGroup struct {
+// exists so N concurrent cold requests trigger exactly one handle open
+// per blob (and, transitively, one background index build) and exactly
+// one decode per checkpoint span, without pulling in golang.org/x/sync.
+type flightGroup[K comparable] struct {
 	mu sync.Mutex
-	m  map[string]*flightCall // guarded by mu
+	m  map[K]*flightCall // guarded by mu
 }
 
 type flightCall struct {
@@ -22,10 +22,10 @@ type flightCall struct {
 // fn's value and error to every caller. The key is forgotten once the
 // call completes, so a later Do runs fn again (the cache in front of
 // this decides whether that happens).
-func (g *flightGroup) Do(key string, fn func() (any, error)) (any, error) {
+func (g *flightGroup[K]) Do(key K, fn func() (any, error)) (any, error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flightCall)
+		g.m = make(map[K]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()

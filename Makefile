@@ -84,13 +84,16 @@ race-cmd:
 	$(GO) test -race -timeout $(RACETIMEOUT) ./cmd/...
 
 # Short-iteration fuzz smoke over the differential targets: enough to
-# replay the checked-in corpus plus a burst of fresh mutations. The
-# sidecar target's inputs are whole indexes (tens of KiB), which the
-# engine would otherwise spend the whole smoke minimizing.
+# replay the checked-in corpus plus a burst of fresh mutations (the
+# last target pins the fast token kernel to the scalar loop). The
+# sidecar target's inputs are whole indexes and the kernel target's
+# multi-block streams (tens of KiB), which the engine would otherwise
+# spend the whole smoke minimizing.
 fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzNewReader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gzindex -run '^$$' -fuzz FuzzIndexUnmarshal -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/flate -run '^$$' -fuzz FuzzFastScalarParity -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Full benchmark sweep with allocation accounting, captured as test2json
 # event lines for the perf trajectory (BENCH_PR2.json, BENCH_PR4.json,

@@ -7,9 +7,9 @@
 // see: pooled-buffer hygiene (GetWindow/PutWindow, Result.Release,
 // tail-pool vs full-pool separation), the immutable/atomic snapshot
 // discipline of pugz.File (atomic.Pointer publish, copy-on-write under
-// cpMu), and the fast-decode bail contract (decodeFastBytes must
-// return on invalid input without consuming bits). The analyzers in
-// the subpackages turn those comments into build gates; cmd/pugzvet
+// cpMu), and the fast-decode bail contract (the decodeFast kernel
+// must return on invalid input without consuming bits). The analyzers
+// in the subpackages turn those comments into build gates; cmd/pugzvet
 // packages them as a `go vet -vettool` binary (see internal/
 // analysis/unit for the driver protocol).
 package analysis

@@ -1,8 +1,8 @@
 // Package bitbail proves the fast-decode bail contract: in the
-// multi-symbol kernels (decodeFast* in internal/flate and
-// internal/tracked), a fastBail return must leave the bit reader
-// positioned at the start of the offending token so the scalar loop
-// re-decodes it canonically. That means no Consume call may execute
+// multi-symbol kernel (decodeFast in internal/flate, generic over the
+// cell type, and any other decodeFast* function), a fastBail return
+// must leave the bit reader positioned at the start of the offending
+// token so the scalar loop re-decodes it canonically. That means no Consume call may execute
 // for the current token before a bail return.
 //
 // The check walks backward from each bail return through the

@@ -1,9 +1,11 @@
 // Package bitbail is the bitbail fixture: a miniature of the
-// decodeFastBytes kernel in internal/flate. The good kernel follows
-// the contract — bail returns happen before any Consume for the
-// failing token, the split-literal budget path consumes and continues
-// (its token was emitted), EOB consumes its own code. The bad kernel
-// consumes speculatively before validating.
+// decodeFast kernel in internal/flate. The good kernels follow the
+// contract — bail returns happen before any Consume for the failing
+// token, the split-literal budget path consumes and continues (its
+// token was emitted), EOB consumes its own code. The bad kernels
+// consume speculatively before validating. Each shape comes twice,
+// plain and type-parameterised over the cell type like the real
+// kernel, so the analyzer provably checks generic bodies too.
 package bitbail
 
 type reader struct{ bits int }
@@ -86,6 +88,60 @@ func decodeFastBadCond(r *reader, w int) (int, status) {
 		if r.Consume(8); r.Acc()&1 != 0 {
 			return w, fastBail // want `bail return after bits were consumed`
 		}
+		w++
+	}
+}
+
+// decodeFastGenericGood is decodeFastGood over either cell type.
+func decodeFastGenericGood[E byte | uint16](r *reader, out []E, w, maxW int) (int, status) {
+	for {
+		r.Refill()
+		if r.Bits() < 48 {
+			return w, statusMore
+		}
+		if w >= maxW {
+			return w, statusMore
+		}
+		x := r.Acc()
+		switch x & 3 {
+		case 0:
+			if w+2 > maxW {
+				out[w] = E(x)
+				w++
+				r.Consume(8)
+				continue
+			}
+			out[w] = E(x)
+			out[w+1] = E(x >> 8)
+			w += 2
+			r.Consume(16)
+		case 1:
+			if x&4 != 0 {
+				return w, fastBail
+			}
+			r.Consume(24)
+		case 2:
+			r.Consume(8)
+			return w, statusEOB
+		default:
+			return w, fastBail
+		}
+	}
+}
+
+// decodeFastGenericBad consumes before validating, over either cell
+// type.
+func decodeFastGenericBad[E byte | uint16](r *reader, out []E, w int) (int, status) {
+	for {
+		r.Refill()
+		if r.Bits() < 48 {
+			return w, statusMore
+		}
+		r.Consume(8)
+		if r.Acc()&1 != 0 {
+			return w, fastBail // want `bail return after bits were consumed`
+		}
+		out[w] = E(r.Acc())
 		w++
 	}
 }

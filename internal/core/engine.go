@@ -459,38 +459,6 @@ func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, reco
 	return errors.Join(errs...)
 }
 
-// stopAt wraps a visitor, halting cleanly at a bit boundary and
-// remembering the exact boundary (the decoder has already consumed
-// part of the next block's header by the time the halt fires).
-type stopAt struct {
-	inner     flate.Visitor
-	stopBit   int64
-	stoppedAt int64
-}
-
-func (s *stopAt) BlockStart(ev flate.BlockEvent) error {
-	if s.stopBit > 0 && ev.StartBit >= s.stopBit {
-		s.stoppedAt = ev.StartBit
-		return flate.Stop
-	}
-	return s.inner.BlockStart(ev)
-}
-func (s *stopAt) Literal(b byte) error         { return s.inner.Literal(b) }
-func (s *stopAt) Match(l, d int) error         { return s.inner.Match(l, d) }
-func (s *stopAt) BlockEnd(nextBit int64) error { return s.inner.BlockEnd(nextBit) }
-
-// FastTokens forwards the multi-symbol fast loop to the wrapped sink
-// when it supports one: the stop-bit check lives in BlockStart, so the
-// token loop itself needs no interception. Without this forwarder the
-// wrapper would hide the sink's fast path behind the Visitor interface
-// and silently de-optimise every non-final chunk.
-func (s *stopAt) FastTokens(fc *flate.FastCtx) (int64, bool, error) {
-	if fs, ok := s.inner.(flate.FastTokenSink); ok {
-		return fs.FastTokens(fc)
-	}
-	return 0, false, nil
-}
-
 // decodePlain decodes a chunk whose initial context is known exactly:
 // nil ctx means the true start of the stream (back-references before
 // the start are rejected, as in a normal gunzip); otherwise the sink is
@@ -502,6 +470,7 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 		return err
 	}
 	sink := &flate.ByteSink{Out: getPlainBuf()}
+	sink.StopBit = c.stopBit
 	if recordSpans {
 		sink.RecordBlocks()
 	}
@@ -513,25 +482,9 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 		sink.Out = append(sink.Out, ctx...)
 		sink.Prefix = len(ctx)
 	}
-	v := flate.Visitor(sink)
-	var stopper *stopAt
-	if !c.last {
-		stopper = &stopAt{inner: sink, stopBit: c.stopBit, stoppedAt: -1}
-		v = stopper
-	}
-	for {
-		final, err := dec.DecodeBlock(r, v)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			putPlainBuf(sink.Out)
-			return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
-		}
-		if final {
-			c.final = true
-			break
-		}
+	if c.final, err = dec.DecodeBlocks(r, sink); err != nil {
+		putPlainBuf(sink.Out)
+		return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
 	}
 	c.plainBuf = sink.Out
 	c.plain = sink.Output()
@@ -542,11 +495,7 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 		// member precedes further members in one buffer).
 		c.plain = []byte{}
 	}
-	if stopper != nil && stopper.stoppedAt >= 0 {
-		c.endBit = stopper.stoppedAt
-	} else {
-		c.endBit = r.BitPos()
-	}
+	c.endBit = sink.EndBit(r)
 	c.spans = sink.Blocks
 	c.outN = int64(len(c.plain))
 	c.m.OutBytes = c.outN
@@ -564,6 +513,7 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so
 	}
 	sink := flate.NewTailSink(ctx)
 	defer sink.Release()
+	sink.StopBit = c.stopBit
 	if recordSpans {
 		sink.RecordBlocks()
 	}
@@ -577,35 +527,15 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so
 	if ctx == nil {
 		dec.SetTrackStart(true)
 	}
-	v := flate.Visitor(sink)
-	var stopper *stopAt
-	if !c.last {
-		stopper = &stopAt{inner: sink, stopBit: c.stopBit, stoppedAt: -1}
-		v = stopper
-	}
-	for {
-		final, err := dec.DecodeBlock(r, v)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
-		}
-		if final {
-			c.final = true
-			break
-		}
+	if c.final, err = dec.DecodeBlocks(r, sink); err != nil {
+		return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
 	}
 	c.plainTail = tracked.GetWindow()
 	sink.WindowInto(c.plainTail)
 	c.tailed = true
 	c.capWins = sink.Captured()
 	c.capOuts, c.capBits = sink.WalkMarks()
-	if stopper != nil && stopper.stoppedAt >= 0 {
-		c.endBit = stopper.stoppedAt
-	} else {
-		c.endBit = r.BitPos()
-	}
+	c.endBit = sink.EndBit(r)
 	c.spans = sink.Blocks
 	c.outN = sink.Len()
 	c.m.OutBytes = c.outN
@@ -613,11 +543,7 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so
 }
 
 func (c *chunk) decodeTracked(payload []byte, tailOnly bool) error {
-	stop := c.stopBit
-	if c.last {
-		stop = 0
-	}
-	opts := tracked.DecodeOptions{StopBit: stop, RecordSpans: true}
+	opts := tracked.DecodeOptions{StopBit: c.stopBit, RecordSpans: true}
 	var res *tracked.Result
 	var err error
 	if tailOnly {
@@ -936,16 +862,9 @@ func (c *chunk) captureWindows(payload []byte, targets []int64) ([][]byte, error
 	sink.Limit = last
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
-	for sink.Len() < last {
-		final, err := dec.DecodeBlock(r, sink)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
+	if last > 0 { // Limit 0 would mean no limit: a capture at 0 needs no decode
+		if _, err := dec.DecodeBlocks(r, sink); err != nil {
 			return nil, fmt.Errorf("core: window capture at bit %d: %w", c.startBit, err)
-		}
-		if final {
-			break
 		}
 	}
 	sink.FlushCaptures()

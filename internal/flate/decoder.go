@@ -195,21 +195,26 @@ func (d *Decoder) SetTrackStart(on bool) {
 	d.total = 0
 }
 
-// DecodeStream decodes blocks until the final block completes, the
-// visitor requests Stop, or an error occurs.
-func (d *Decoder) DecodeStream(r *bitio.Reader, v Visitor) error {
+// DecodeBlocks decodes blocks until the final block completes (final
+// is true), the visitor requests Stop (final is false, err nil), or an
+// error occurs.
+func (d *Decoder) DecodeBlocks(r *bitio.Reader, v Visitor) (final bool, err error) {
 	for {
 		final, err := d.DecodeBlock(r, v)
-		if err != nil {
-			if errors.Is(err, Stop) {
-				return nil
-			}
-			return err
-		}
-		if final {
-			return nil
+		switch {
+		case errors.Is(err, Stop):
+			return false, nil
+		case err != nil || final:
+			return final, err
 		}
 	}
+}
+
+// DecodeStream is DecodeBlocks for callers that do not need to know
+// whether the final block was reached.
+func (d *Decoder) DecodeStream(r *bitio.Reader, v Visitor) error {
+	_, err := d.DecodeBlocks(r, v)
+	return err
 }
 
 // DecodeBlock decodes exactly one block, invoking the visitor for the

@@ -6,13 +6,13 @@ import (
 )
 
 // This file holds the multi-symbol token decode loop: the sink-side
-// half of the fast path set up by decodeCompressedWith. Sinks that own
-// a flat output window implement FastTokenSink and run decodeFastBytes
-// directly over their buffer, so the hot loop has no interface calls
-// per token, one 64-bit refill per iteration, and a bounds-checked
-// copy kernel for matches. Sinks without a window (CountingSink, the
-// engine's probe sinks) simply don't implement the interface and keep
-// the scalar path.
+// half of the fast path set up by decodeCompressedWith. The window
+// sinks (Linear and Sliding, over either Cell type) implement
+// FastTokenSink and run decodeFast directly over their buffer, so the
+// hot loop has no interface calls per token, one 64-bit refill per
+// iteration, and a bounds-checked copy kernel for matches. Sinks
+// without a window (CountingSink, the engine's probe sinks) simply
+// don't implement the interface and keep the scalar path.
 
 // FastCtx bundles what a FastTokenSink needs for one fast-loop call.
 // It is owned by the Decoder and valid only for the duration of the
@@ -64,7 +64,7 @@ const (
 	fastBail                   // next token needs the scalar loop
 )
 
-// decodeFastBytes decodes tokens from r into out[w:]. It stops before
+// decodeFast decodes tokens from r into out[w:]. It stops before
 // decoding a token once w >= maxW (so a limit-bounded caller stops on
 // the same token the scalar loop would) and never writes at or beyond
 // maxW-1+MaxMatch; callers guarantee len(out) >= maxW-1+MaxMatch.
@@ -72,7 +72,11 @@ const (
 // before-stream-start floor when tracking). Bits are consumed only
 // for fully emitted tokens: on fastBail the reader still points at
 // the offending token for the scalar loop to re-decode.
-func decodeFastBytes(r *bitio.Reader, lit *huffman.LitLenFast, dist *huffman.DistFast, out []byte, w, maxW, minSrc int) (int, fastStatus) {
+//
+// Literals widen to E; matches copy whole cells, so over uint16 a
+// back-reference into the undetermined context copies its U_j symbols
+// exactly as the scalar Linear.Match does.
+func decodeFast[E Cell](r *bitio.Reader, lit *huffman.LitLenFast, dist *huffman.DistFast, out []E, w, maxW, minSrc int) (int, fastStatus) {
 	for {
 		r.Refill()
 		if r.Bits() < fastMinBits {
@@ -91,17 +95,17 @@ func decodeFastBytes(r *bitio.Reader, lit *huffman.LitLenFast, dist *huffman.Dis
 			if w+2 > maxW {
 				// Budget for one byte only: emit the first literal so
 				// the stop position matches the scalar loop exactly.
-				out[w] = e.Lit1()
+				out[w] = E(e.Lit1())
 				w++
 				r.Consume(e.Lit1Bits())
 				continue
 			}
-			out[w] = e.Lit1()
-			out[w+1] = e.Lit2()
+			out[w] = E(e.Lit1())
+			out[w+1] = E(e.Lit2())
 			w += 2
 			r.Consume(e.NBits())
 		case huffman.FastLit1:
-			out[w] = e.Lit1()
+			out[w] = E(e.Lit1())
 			w++
 			r.Consume(e.NBits())
 		case huffman.FastLen:
@@ -141,89 +145,4 @@ func decodeFastBytes(r *bitio.Reader, lit *huffman.LitLenFast, dist *huffman.Dis
 			return w, fastBail
 		}
 	}
-}
-
-// fastPad is an all-zero source for growing a sink's capacity via
-// append without allocating a temporary.
-var fastPad [4096]byte
-
-// FastTokens implements FastTokenSink: tokens decode straight into the
-// append buffer, growing capacity ahead of the kernel.
-func (s *ByteSink) FastTokens(fc *FastCtx) (int64, bool, error) {
-	w0 := len(s.Out)
-	minSrc := 0
-	if fc.Track {
-		// dist > produced  <=>  src < len-at-call - produced-at-call;
-		// with a seeded Prefix this floor is exactly the prefix size.
-		if m := w0 - int(fc.Produced); m > 0 {
-			minSrc = m
-		}
-	}
-	eob := false
-	for {
-		fc.R.Refill()
-		if fc.R.Bits() < fastMinBits {
-			break
-		}
-		if cap(s.Out)-len(s.Out) < fastSlack {
-			n := len(s.Out)
-			s.Out = append(s.Out, fastPad[:]...)[:n]
-		}
-		buf := s.Out[:cap(s.Out)]
-		w, st := decodeFastBytes(fc.R, fc.Lit, fc.Dist, buf, len(s.Out), cap(s.Out)-MaxMatch, minSrc)
-		s.Out = buf[:w]
-		if st == fastEOB {
-			eob = true
-			break
-		}
-		if st == fastBail {
-			break
-		}
-	}
-	return int64(len(s.Out) - w0), eob, nil
-}
-
-// FastTokens implements FastTokenSink over the sliding tail window:
-// the kernel runs between slide compactions, and the Limit budget is
-// translated into a write bound so the decode stops on exactly the
-// token the scalar loop would stop on.
-func (s *TailSink) FastTokens(fc *FastCtx) (int64, bool, error) {
-	t0 := s.total
-	eob := false
-	var err error
-	for {
-		fc.R.Refill()
-		if fc.R.Bits() < fastMinBits {
-			break
-		}
-		s.slide(fastSlack)
-		w0 := len(s.buf)
-		minSrc := 0
-		if fc.Track {
-			if m := w0 - int(s.total); m > 0 {
-				minSrc = m
-			}
-		}
-		maxW := tailSlideBytes // cap is tailSlideBytes+MaxMatch: in budget
-		if s.Limit > 0 {
-			if lim := w0 + int(s.Limit-s.total); lim < maxW {
-				maxW = lim
-			}
-		}
-		w, st := decodeFastBytes(fc.R, fc.Lit, fc.Dist, s.buf[:cap(s.buf)], w0, maxW, minSrc)
-		s.total += int64(w - w0)
-		s.buf = s.buf[:w]
-		if s.Limit > 0 && s.total >= s.Limit {
-			err = Stop
-			break
-		}
-		if st == fastEOB {
-			eob = true
-			break
-		}
-		if st == fastBail {
-			break
-		}
-	}
-	return s.total - t0, eob, err
 }

@@ -3,65 +3,227 @@ package flate
 import (
 	"bytes"
 	stdflate "compress/flate"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/deflate"
+	"repro/internal/dna"
 )
 
-// decodeBoth decodes payload once with the fast loop enabled and once
-// with NoFast pinning the scalar reference, returning both outputs and
-// recorded spans. The two decodes must agree byte-for-byte and
-// span-for-span; callers assert on the returned values.
-func decodeBoth(t *testing.T, payload []byte) (fast, scalar []byte, fastSpans, scalarSpans []BlockSpan) {
-	t.Helper()
-	run := func(noFast bool) ([]byte, []BlockSpan) {
-		r, err := bitio.NewReaderAt(payload, 0)
-		if err != nil {
-			t.Fatal(err)
+// This file pins the one fast kernel to the scalar reference loop. A
+// single harness (checkParity) decodes a case twice — once with the
+// fast loop, once with Options.NoFast — through each of the four window
+// sinks the kernel serves, Linear and Sliding over byte and uint16
+// cells, and requires the two runs to agree on every observable: cells,
+// total, block spans, halt position, end bit, finality and error.
+
+// parityCase is one fast==scalar comparison: a stream, where decoding
+// starts, and how the decode is told to halt.
+type parityCase struct {
+	name    string
+	payload []byte
+	plain   []byte    // the stream's decoded bytes
+	start   BlockSpan // where decoding starts (zero: the stream start)
+	// seeded gives the sinks a WindowSize history before start: the
+	// true bytes (zero-padded) for byte cells, U_0..U_32767 for uint16
+	// cells. Unseeded cases start at the stream start with
+	// SetTrackStart, so a reference before the start must fail.
+	seeded  bool
+	limit   int64
+	stopBit int64
+}
+
+// parityOutcome is everything a decode leaves observable.
+type parityOutcome[E Cell] struct {
+	cells     []E // Linear: the output; Sliding: the trailing window
+	total     int64
+	blocks    []BlockSpan
+	stoppedAt int64
+	endBit    int64
+	final     bool
+	err       error
+}
+
+// seedCells renders a case's history as WindowSize cells of E.
+func seedCells[E Cell](c parityCase) []E {
+	cells := make([]E, WindowSize, WindowSize+len(c.plain))
+	switch s := any(cells).(type) {
+	case []byte:
+		off := c.start.OutStart
+		lo := max(off-WindowSize, 0)
+		copy(s[WindowSize-(off-lo):], c.plain[lo:off])
+	case []uint16:
+		for j := range s {
+			s[j] = uint16(256 + j) // U_j: no byte value is known
 		}
-		sink := &ByteSink{}
-		sink.RecordBlocks()
-		dec := NewDecoder(Options{NoFast: noFast})
+	}
+	return cells
+}
+
+// decodeCase runs c through a Linear or Sliding sink over E.
+func decodeCase[E Cell](c parityCase, sliding, noFast bool) parityOutcome[E] {
+	r, err := bitio.NewReaderAt(c.payload, c.start.Event.StartBit)
+	if err != nil {
+		return parityOutcome[E]{err: err}
+	}
+	dec := NewDecoder(Options{NoFast: noFast})
+	var hist []E
+	if c.seeded {
+		hist = seedCells[E](c)
+	} else {
 		dec.SetTrackStart(true)
-		if err := dec.DecodeStream(r, sink); err != nil {
-			t.Fatalf("noFast=%v: %v", noFast, err)
-		}
-		return sink.Out, sink.Blocks
 	}
-	fast, fastSpans = run(false)
-	scalar, scalarSpans = run(true)
-	return
+	var (
+		v     Visitor
+		ctl   *Control
+		cells func() []E
+		n     func() int64
+	)
+	if sliding {
+		s := &Sliding[E]{Buf: make([]E, WindowSize, SlidingCap)}
+		copy(s.Buf, hist)
+		v, ctl, cells, n = s, &s.Control, s.Window, s.Len
+	} else {
+		s := &Linear[E]{Out: hist, Prefix: len(hist)}
+		v, ctl, cells, n = s, &s.Control, s.Output, s.Len
+	}
+	ctl.Limit, ctl.StopBit = c.limit, c.stopBit
+	ctl.RecordBlocks()
+	final, err := dec.DecodeBlocks(r, v)
+	return parityOutcome[E]{
+		cells:     slices.Clone(cells()),
+		total:     n(),
+		blocks:    ctl.Blocks,
+		stoppedAt: ctl.StoppedAt,
+		endBit:    ctl.EndBit(r),
+		final:     final,
+		err:       err,
+	}
 }
 
-func assertSameDecode(t *testing.T, payload []byte, want []byte) {
+// mismatch describes the first difference between two outcomes.
+func (o parityOutcome[E]) mismatch(p parityOutcome[E]) string {
+	switch {
+	case (o.err == nil) != (p.err == nil) || o.err != nil && o.err.Error() != p.err.Error():
+		return fmt.Sprintf("error %v vs %v", o.err, p.err)
+	case o.total != p.total:
+		return fmt.Sprintf("total %d vs %d", o.total, p.total)
+	case !slices.Equal(o.cells, p.cells):
+		return fmt.Sprintf("cells differ (%d vs %d)", len(o.cells), len(p.cells))
+	case !slices.Equal(o.blocks, p.blocks):
+		return fmt.Sprintf("block spans differ (%d vs %d)", len(o.blocks), len(p.blocks))
+	case o.stoppedAt != p.stoppedAt:
+		return fmt.Sprintf("StoppedAt %d vs %d", o.stoppedAt, p.stoppedAt)
+	case o.err == nil && o.endBit != p.endBit:
+		return fmt.Sprintf("end bit %d vs %d", o.endBit, p.endBit)
+	case o.final != p.final:
+		return fmt.Sprintf("final %v vs %v", o.final, p.final)
+	}
+	return ""
+}
+
+// checkParity decodes c fast and scalar through one sink shape and
+// reports any difference. A full byte-cell decode must also reproduce
+// the stream's bytes.
+func checkParity[E Cell](t testing.TB, c parityCase, sliding bool) {
 	t.Helper()
-	fast, scalar, fs, ss := decodeBoth(t, payload)
-	if !bytes.Equal(fast, scalar) {
-		t.Fatalf("fast/scalar output mismatch: %d vs %d bytes", len(fast), len(scalar))
+	fast := decodeCase[E](c, sliding, false)
+	scalar := decodeCase[E](c, sliding, true)
+	shape := fmt.Sprintf("Linear[%T]", *new(E))
+	if sliding {
+		shape = fmt.Sprintf("Sliding[%T]", *new(E))
 	}
-	if want != nil && !bytes.Equal(fast, want) {
-		t.Fatalf("fast output differs from original: %d vs %d bytes", len(fast), len(want))
+	if d := fast.mismatch(scalar); d != "" {
+		t.Fatalf("%s %s: fast/scalar %s", shape, c.name, d)
 	}
-	if len(fs) != len(ss) {
-		t.Fatalf("span count mismatch: %d vs %d", len(fs), len(ss))
-	}
-	for i := range fs {
-		if fs[i] != ss[i] {
-			t.Fatalf("span %d mismatch: fast %+v scalar %+v", i, fs[i], ss[i])
+	if b, ok := any(fast.cells).([]byte); ok && !sliding && fast.err == nil && fast.final && c.limit == 0 {
+		if want := c.plain[c.start.OutStart:]; !bytes.Equal(b, want) {
+			t.Fatalf("%s %s: output differs from the original: %d vs %d bytes", shape, c.name, len(b), len(want))
 		}
 	}
 }
 
-// TestFastScalarParityLevels pins the fast loop to the scalar loop on
-// stdlib streams at every compression level (0 = stored blocks,
-// HuffmanOnly = literal-dense fixed-style trees).
-func TestFastScalarParityLevels(t *testing.T) {
-	data := textData(200_000, 71)
-	levels := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, stdflate.HuffmanOnly}
-	for _, level := range levels {
-		assertSameDecode(t, stdCompress(t, data, level), data)
+// runParity checks every case through all four sink shapes.
+func runParity(t testing.TB, cases []parityCase) {
+	t.Helper()
+	for _, c := range cases {
+		checkParity[byte](t, c, false)
+		checkParity[byte](t, c, true)
+		checkParity[uint16](t, c, false)
+		checkParity[uint16](t, c, true)
 	}
+}
+
+// corpus is one compressed stream with its block map.
+type corpus struct {
+	name    string
+	payload []byte
+	plain   []byte
+	spans   []BlockSpan
+}
+
+func newCorpus(t testing.TB, name string, payload []byte) corpus {
+	t.Helper()
+	plain, spans, err := DecompressRecorded(payload, 0, true)
+	if err != nil {
+		t.Fatalf("%s: reference decode: %v", name, err)
+	}
+	return corpus{name, payload, plain, spans}
+}
+
+func stdCorpus(t *testing.T, data []byte, level int) corpus {
+	t.Helper()
+	return newCorpus(t, fmt.Sprintf("stdlib-%d", level), stdCompress(t, data, level))
+}
+
+func repoCorpus(t *testing.T, data []byte, level int) corpus {
+	t.Helper()
+	payload, err := deflate.Compress(data, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newCorpus(t, fmt.Sprintf("deflate-%d", level), payload)
+}
+
+// from returns a case decoding cp from block k with a seeded history,
+// or from the stream start with SetTrackStart when k < 0.
+func (cp corpus) from(k int) parityCase {
+	c := parityCase{payload: cp.payload, plain: cp.plain, name: cp.name + " from start"}
+	if k >= 0 {
+		c.start, c.seeded = cp.spans[k], true
+		c.name = fmt.Sprintf("%s from block %d", cp.name, k)
+	}
+	return c
+}
+
+// TestFastScalarParityLevels pins the fast loop to the scalar loop at
+// every compression level (0 = stored blocks, HuffmanOnly =
+// literal-dense fixed-style trees), from the stream start and from
+// mid-stream blocks, on stdlib and on this repository's own streams.
+func TestFastScalarParityLevels(t *testing.T) {
+	var corpora []corpus
+	text := textData(200_000, 71)
+	for _, level := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, stdflate.HuffmanOnly} {
+		corpora = append(corpora, stdCorpus(t, text, level))
+	}
+	genome := dna.Random(400_000, 31)
+	for _, level := range []int{1, 6, 9} {
+		corpora = append(corpora, repoCorpus(t, genome, level))
+	}
+	var cases []parityCase
+	for _, cp := range corpora {
+		cases = append(cases, cp.from(-1), cp.from(0))
+		for _, k := range []int{1, len(cp.spans) / 2} {
+			if k < len(cp.spans) {
+				cases = append(cases, cp.from(k))
+			}
+		}
+	}
+	runParity(t, cases)
 }
 
 // TestFastScalarParityRandomInputs covers input shapes that stress
@@ -91,63 +253,115 @@ func TestFastScalarParityRandomInputs(t *testing.T) {
 			return b
 		},
 	}
+	var cases []parityCase
 	for si, shape := range shapes {
 		for _, n := range []int{0, 1, 2, 3, 7, 300, 65_000} {
 			data := shape(n)
 			for _, level := range []int{1, 6, 9} {
-				payload := stdCompress(t, data, level)
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("shape %d n=%d level=%d: panic %v", si, n, level, r)
-						}
-					}()
-					assertSameDecode(t, payload, data)
-				}()
+				c := stdCorpus(t, data, level).from(-1)
+				c.name = fmt.Sprintf("shape %d n=%d level=%d", si, n, level)
+				cases = append(cases, c)
 			}
 		}
 	}
+	runParity(t, cases)
 }
 
-// TestFastTailSinkParity pins the TailSink fast loop to its scalar
-// path, including Limit stops at awkward offsets (mid-match, exactly
-// on a match end, one past a packed literal pair) and the sliding
-// compaction across multi-window outputs.
-func TestFastTailSinkParity(t *testing.T) {
-	data := textData(300_000, 73) // > 4 windows: exercises slide()
-	payload := stdCompress(t, data, 6)
-
-	run := func(noFast bool, limit int64) (int64, []byte, error) {
-		r, err := bitio.NewReaderAt(payload, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := NewTailSink(nil)
-		defer sink.Release()
-		sink.Limit = limit
-		dec := NewDecoder(Options{NoFast: noFast})
-		dec.SetTrackStart(true)
-		err = dec.DecodeStream(r, sink)
-		w := make([]byte, WindowSize)
-		sink.WindowInto(w)
-		return sink.Len(), w, err
+// TestFastScalarParityHalts checks that Limit and StopBit halts land on
+// the same cell and bit on both paths: limits of 1, 2 and 3 cells
+// (inside a packed literal pair), in the middle of a match, around one
+// window, around the sliding sink's compaction point and past several
+// compactions, and StopBit halts on and between block starts.
+func TestFastScalarParityHalts(t *testing.T) {
+	corpora := []corpus{
+		stdCorpus(t, textData(300_000, 73), 6),
+		repoCorpus(t, dna.Random(500_000, 33), 6),
 	}
-
-	limits := []int64{0, 1, 2, 3, 100, WindowSize - 1, WindowSize, WindowSize + 1,
-		tailSlideBytes, tailSlideBytes + 7, 299_999, 300_000}
-	for _, limit := range limits {
-		fn, fw, ferr := run(false, limit)
-		sn, sw, serr := run(true, limit)
-		if fn != sn {
-			t.Fatalf("limit %d: total mismatch fast=%d scalar=%d", limit, fn, sn)
+	var cases []parityCase
+	for _, cp := range corpora {
+		if len(cp.spans) < 3 {
+			t.Fatalf("%s: %d blocks, want >= 3", cp.name, len(cp.spans))
 		}
-		if !bytes.Equal(fw, sw) {
-			t.Fatalf("limit %d: window mismatch", limit)
-		}
-		if (ferr == nil) != (serr == nil) || (ferr != nil && ferr.Error() != serr.Error()) {
-			t.Fatalf("limit %d: error mismatch fast=%v scalar=%v", limit, ferr, serr)
+		last := cp.spans[len(cp.spans)-1]
+		for _, base := range []parityCase{cp.from(-1), cp.from(1)} {
+			limits := []int64{0, 1, 2, 3, 7, 100, midMatch(t, base),
+				WindowSize - 1, WindowSize, WindowSize + 1, WindowSize + 3,
+				slideAt, slideAt + 7, 5*WindowSize + 11,
+				150_000, 299_999, 300_000, 400_000}
+			for _, limit := range limits {
+				c := base
+				c.limit = limit
+				c.name = fmt.Sprintf("%s limit %d", base.name, limit)
+				cases = append(cases, c)
+			}
+			// On a block start, between block starts, and one bit past
+			// the first block's start; alone and behind an earlier Limit.
+			from := base.start.Event.StartBit
+			for _, stop := range []int64{last.Event.StartBit, last.Event.StartBit - 5, from + 1} {
+				for _, limit := range []int64{0, (last.OutStart - base.start.OutStart) / 2} {
+					c := base
+					c.stopBit, c.limit = stop, limit
+					c.name = fmt.Sprintf("%s stop bit %d limit %d", base.name, stop, limit)
+					cases = append(cases, c)
+				}
+			}
 		}
 	}
+	runParity(t, cases)
+}
+
+// matchProbe finds an output offset inside a match.
+type matchProbe struct {
+	n, at int64
+}
+
+func (m *matchProbe) BlockStart(BlockEvent) error { return nil }
+func (m *matchProbe) Literal(byte) error          { m.n++; return nil }
+func (m *matchProbe) Match(length, _ int) error {
+	if m.at == 0 && length >= 4 && m.n > 1000 {
+		m.at = m.n + int64(length)/2
+		return Stop
+	}
+	m.n += int64(length)
+	return nil
+}
+func (m *matchProbe) BlockEnd(int64) error { return nil }
+
+// midMatch returns a limit that falls inside a match of c's decode.
+func midMatch(t *testing.T, c parityCase) int64 {
+	t.Helper()
+	r, err := bitio.NewReaderAt(c.payload, c.start.Event.StartBit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m matchProbe
+	if err := NewDecoder(Options{}).DecodeStream(r, &m); err != nil || m.at == 0 {
+		t.Fatalf("%s: no match to split (%v)", c.name, err)
+	}
+	return m.at
+}
+
+// FuzzFastScalarParity decodes stdlib-compressed fuzz bytes from a
+// fuzzed block, with a fuzzed limit, stop bit and truncation, through
+// all four sink shapes, and requires the fast loop to agree with the
+// scalar one on cells, totals, spans and errors.
+func FuzzFastScalarParity(f *testing.F) {
+	f.Add([]byte("hello, hello, hello world"), uint8(6), uint8(0), uint32(0), uint32(0), uint16(0))
+	f.Add(textData(20_000, 9), uint8(1), uint8(1), uint32(5000), uint32(0), uint16(0))
+	f.Add(textData(70_000, 10), uint8(9), uint8(2), uint32(0), uint32(3000), uint16(0))
+	f.Add(bytes.Repeat([]byte("ab"), 9000), uint8(0), uint8(0), uint32(17), uint32(0), uint16(40))
+	f.Fuzz(func(t *testing.T, data []byte, level, block uint8, limit, stop uint32, cut uint16) {
+		cp := stdCorpus(t, data, int(level%12)-2) // levels -2..9
+		c := cp.from(int(block)%(len(cp.spans)+1) - 1)
+		c.limit = int64(limit) % int64(len(data)+2)
+		if stop > 0 {
+			c.stopBit = c.start.Event.StartBit + int64(stop)
+		}
+		if cut > 0 {
+			c.payload = c.payload[:len(c.payload)-int(cut)%len(c.payload)]
+		}
+		runParity(t, []parityCase{c})
+	})
 }
 
 // TestFastPrefixSeededChunk decodes a mid-stream block sequence with a
@@ -217,8 +431,8 @@ func TestFastErrorParity(t *testing.T) {
 	bad := fixedBlockMatchBeforeStart(t)
 	for _, noFast := range []bool{false, true} {
 		_, err := (&testDecode{noFast: noFast, track: true}).run(bad)
-		if err == nil {
-			t.Fatalf("noFast=%v: expected ErrDistanceTooFar", noFast)
+		if !errors.Is(err, ErrDistanceTooFar) {
+			t.Fatalf("noFast=%v: err = %v, want ErrDistanceTooFar", noFast, err)
 		}
 	}
 }

@@ -2,32 +2,17 @@ package flate
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/bitio"
 )
 
-// ByteSink is a Visitor that materialises the decompressed stream into
-// a flat byte slice. It is the "plain gunzip" consumer: back-references
-// must land inside the bytes already produced — or inside a seeded
-// context prefix (see Prefix), which is how a mid-stream chunk whose
-// 32 KiB window is already known decodes exactly without the symbolic
-// detour.
-type ByteSink struct {
-	Out []byte
-	// Prefix marks the first Prefix bytes of Out as seeded context (a
-	// known history window, not produced output). Back-references may
-	// reach into it; Output() excludes it. Callers seed it by filling
-	// Out with the window before decoding.
-	Prefix int
-	// Blocks, when non-nil recording is enabled via RecordBlocks,
-	// accumulates one entry per decoded block.
-	Blocks []BlockSpan
-	record bool
-}
-
-// Output returns the decoded bytes, excluding any seeded context
-// prefix. The slice aliases the sink's buffer.
-func (s *ByteSink) Output() []byte { return s.Out[s.Prefix:] }
+// Cell is the element type of a window sink. Exact decodes use byte;
+// the symbolic pass-1 decode (internal/tracked) uses uint16, whose
+// alphabet is the bytes plus the context symbols U_j. DEFLATE decoding
+// is the same algorithm over either alphabet: literals widen to a cell,
+// matches copy whole cells.
+type Cell interface{ byte | uint16 }
 
 // BlockSpan describes one decoded block: its bit extent in the
 // compressed stream and byte extent in the output.
@@ -38,53 +23,167 @@ type BlockSpan struct {
 	OutEnd   int64
 }
 
+// Control is the bookkeeping every window sink shares: the two ways a
+// decode can be told to halt, and the optional per-block log.
+type Control struct {
+	// Limit, when > 0, stops decoding (with Stop) once the sink has
+	// produced this many cells.
+	Limit int64
+	// StopBit, when > 0, stops cleanly (with Stop) before decoding a
+	// block whose start bit is >= StopBit: the parallel engine decodes
+	// exactly one chunk this way.
+	StopBit int64
+	// StoppedAt is the start bit of the block that triggered the StopBit
+	// halt, or 0 when none did (a halt always lands past bit 0).
+	StoppedAt int64
+	// Blocks accumulates one span per decoded block once RecordBlocks
+	// was called. Output offsets count produced cells; a seeded context
+	// is excluded.
+	Blocks []BlockSpan
+	record bool
+}
+
 // RecordBlocks enables per-block span recording.
-func (s *ByteSink) RecordBlocks() { s.record = true }
+func (c *Control) RecordBlocks() { c.record = true }
+
+// EndBit returns where a decode over this sink ended: after a StopBit
+// halt, the halting block's start bit (the decoder has already read
+// part of that block's header); otherwise r's position.
+func (c *Control) EndBit(r *bitio.Reader) int64 {
+	if c.StoppedAt > 0 {
+		return c.StoppedAt
+	}
+	return r.BitPos()
+}
+
+func (c *Control) blockStart(ev BlockEvent, out int64) error {
+	if c.StopBit > 0 && ev.StartBit >= c.StopBit {
+		c.StoppedAt = ev.StartBit
+		return Stop
+	}
+	if c.record {
+		c.Blocks = append(c.Blocks, BlockSpan{Event: ev, OutStart: out})
+	}
+	return nil
+}
+
+// blockEnd closes the open span. A BlockEnd with no recorded span (a
+// visitor driven without a prior BlockStart) is a no-op rather than a
+// panic: span recording only ever annotates blocks it saw open.
+func (c *Control) blockEnd(nextBit, out int64) {
+	if c.record && len(c.Blocks) > 0 {
+		last := &c.Blocks[len(c.Blocks)-1]
+		last.EndBit = nextBit
+		last.OutEnd = out
+	}
+}
+
+// reached reports Stop once out cells satisfy Limit.
+func (c *Control) reached(out int64) error {
+	if c.Limit > 0 && out >= c.Limit {
+		return Stop
+	}
+	return nil
+}
+
+// appendMatch appends the length cells that start dist cells behind
+// the end of buf. Overlapping copies (dist < length) must proceed cell
+// by cell in stream order; this is the RLE-style idiom DEFLATE relies
+// on.
+func appendMatch[E Cell](buf []E, length, dist int) []E {
+	src := len(buf) - dist
+	if dist >= length {
+		return append(buf, buf[src:src+length]...)
+	}
+	for i := 0; i < length; i++ {
+		buf = append(buf, buf[src+i])
+	}
+	return buf
+}
+
+// Linear is the flat window sink: it materialises the whole decoded
+// stream into Out. Back-references must land inside the cells already
+// produced or inside a seeded context prefix (see Prefix). Over bytes
+// (ByteSink) it is the "plain gunzip" consumer, and a mid-stream chunk
+// whose 32 KiB window is already known decodes exactly by seeding it.
+// Over uint16 (tracked.Sink) the prefix is the undetermined context
+// U_0..U_32767 of the paper's symbolic decode.
+type Linear[E Cell] struct {
+	Out []E
+	// Prefix marks the first Prefix cells of Out as seeded context (a
+	// history window, not produced output). Back-references may reach
+	// into it; Output() excludes it. Callers seed it by filling Out with
+	// the window before decoding.
+	Prefix int
+	Control
+}
+
+// ByteSink is the exact flat sink.
+type ByteSink = Linear[byte]
+
+// Output returns the decoded cells, excluding any seeded context
+// prefix. The slice aliases the sink's buffer.
+func (s *Linear[E]) Output() []E { return s.Out[s.Prefix:] }
+
+// Len returns the number of cells decoded so far.
+func (s *Linear[E]) Len() int64 { return int64(len(s.Out) - s.Prefix) }
 
 // ErrDanglingRef is returned when a match reaches before the first
 // output byte — decoding a stream from its true start never does this.
 var ErrDanglingRef = errors.New("flate: back-reference before output start")
 
-func (s *ByteSink) BlockStart(ev BlockEvent) error {
-	if s.record {
-		s.Blocks = append(s.Blocks, BlockSpan{Event: ev, OutStart: int64(len(s.Out) - s.Prefix)})
-	}
-	return nil
+func (s *Linear[E]) BlockStart(ev BlockEvent) error { return s.blockStart(ev, s.Len()) }
+
+func (s *Linear[E]) Literal(b byte) error {
+	s.Out = append(s.Out, E(b))
+	return s.reached(s.Len())
 }
 
-func (s *ByteSink) Literal(b byte) error {
-	s.Out = append(s.Out, b)
-	return nil
-}
-
-func (s *ByteSink) Match(length, dist int) error {
-	n := len(s.Out)
-	if dist > n {
+func (s *Linear[E]) Match(length, dist int) error {
+	if dist > len(s.Out) {
 		return ErrDanglingRef
 	}
-	// Overlapping copies (dist < length) must proceed byte-by-byte in
-	// stream order; this is the RLE-style idiom DEFLATE relies on.
-	src := n - dist
-	if dist >= length {
-		s.Out = append(s.Out, s.Out[src:src+length]...)
-		return nil
-	}
-	for i := 0; i < length; i++ {
-		s.Out = append(s.Out, s.Out[src+i])
-	}
+	s.Out = appendMatch(s.Out, length, dist)
+	return s.reached(s.Len())
+}
+
+func (s *Linear[E]) BlockEnd(nextBit int64) error {
+	s.blockEnd(nextBit, s.Len())
 	return nil
 }
 
-func (s *ByteSink) BlockEnd(nextBit int64) error {
-	// A BlockEnd with no recorded span (a visitor driven without a
-	// prior BlockStart) is a no-op rather than a panic: span recording
-	// only ever annotates blocks it saw open.
-	if s.record && len(s.Blocks) > 0 {
-		last := &s.Blocks[len(s.Blocks)-1]
-		last.EndBit = nextBit
-		last.OutEnd = int64(len(s.Out) - s.Prefix)
+// FastTokens implements FastTokenSink: tokens decode straight into the
+// append buffer, growing capacity ahead of the kernel, with the Limit
+// budget translated into a write bound so the decode stops on exactly
+// the token the scalar loop would stop on.
+func (s *Linear[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
+	n0 := len(s.Out)
+	minSrc := 0
+	if fc.Track {
+		// dist > produced  <=>  src < len-at-call - produced-at-call;
+		// with a seeded Prefix this floor is exactly the prefix size.
+		minSrc = max(n0-int(fc.Produced), 0)
 	}
-	return nil
+	for {
+		fc.R.Refill()
+		if fc.R.Bits() < fastMinBits {
+			return int64(len(s.Out) - n0), false, nil
+		}
+		s.Out = slices.Grow(s.Out, fastSlack)
+		w0 := len(s.Out)
+		maxW := cap(s.Out) - MaxMatch
+		if s.Limit > 0 {
+			maxW = min(maxW, w0+int(s.Limit-s.Len()))
+		}
+		w, st := decodeFast(fc.R, fc.Lit, fc.Dist, s.Out[:cap(s.Out)], w0, maxW, minSrc)
+		s.Out = s.Out[:w]
+		switch {
+		case s.Limit > 0 && s.Len() >= s.Limit:
+			return int64(w - n0), false, Stop
+		case st != fastMore:
+			return int64(w - n0), st == fastEOB, nil
+		}
+	}
 }
 
 // DecompressAll decodes a whole DEFLATE stream (starting at bit offset

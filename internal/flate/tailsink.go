@@ -5,24 +5,113 @@ import (
 	"sync"
 )
 
-// TailSink is a Visitor for exact decodes whose output is measured and
-// windowed but never kept: it maintains a running count plus a sliding
-// buffer holding at least the trailing WindowSize bytes, seeded with a
-// known 32 KiB history window so mid-stream back-references resolve
-// immediately. Skip-mode chunks whose initial context is already
-// resolved decode through it with O(WindowSize) memory, and the
+// Sliding is the window sink for decodes whose output is measured and
+// windowed but never kept: a running count plus a buffer holding at
+// least the trailing WindowSize cells, O(WindowSize) memory however
+// long the decode runs. The buffer starts with WindowSize cells of
+// seeded history (a known window over bytes, the U_j symbols over
+// uint16) so mid-stream back-references resolve immediately; once it
+// reaches slideAt cells the trailing WindowSize slide to the front.
+// Back-references reach at most WindowSize cells behind the write
+// position, so the retained tail always covers them.
+type Sliding[E Cell] struct {
+	// Buf is the sliding buffer. Callers seed it with exactly
+	// WindowSize cells of history and capacity SlidingCap before
+	// decoding; the sink then compacts it in place.
+	Buf   []E
+	total int64 // cells produced (excludes the seeded history)
+	Control
+}
+
+const (
+	// slideAt is the buffer length at which a Sliding sink compacts.
+	// One extra window of slack amortises the copy to ~1 cell per
+	// output cell while the buffer stays small enough to live in cache.
+	slideAt = 2 * WindowSize
+	// SlidingCap is the buffer capacity a Sliding sink needs: a full
+	// buffer plus one maximal match.
+	SlidingCap = slideAt + MaxMatch
+)
+
+// Len returns the number of cells decoded so far.
+func (s *Sliding[E]) Len() int64 { return s.total }
+
+// Window returns the trailing WindowSize cells: seeded history followed
+// by output. The slice aliases the sink's buffer.
+func (s *Sliding[E]) Window() []E { return s.Buf[len(s.Buf)-WindowSize:] }
+
+// slide compacts the buffer so the next append of up to n cells fits
+// without growing past slideAt.
+func (s *Sliding[E]) slide(n int) {
+	if len(s.Buf)+n <= slideAt {
+		return
+	}
+	copy(s.Buf, s.Window())
+	s.Buf = s.Buf[:WindowSize]
+}
+
+func (s *Sliding[E]) BlockStart(ev BlockEvent) error { return s.blockStart(ev, s.total) }
+
+func (s *Sliding[E]) Literal(b byte) error {
+	s.slide(1)
+	s.Buf = append(s.Buf, E(b))
+	s.total++
+	return s.reached(s.total)
+}
+
+func (s *Sliding[E]) Match(length, dist int) error {
+	s.slide(length)
+	s.Buf = appendMatch(s.Buf, length, dist) // at least WindowSize cells are always retained
+	s.total += int64(length)
+	return s.reached(s.total)
+}
+
+func (s *Sliding[E]) BlockEnd(nextBit int64) error {
+	s.blockEnd(nextBit, s.total)
+	return nil
+}
+
+// FastTokens implements FastTokenSink over the sliding window: the
+// kernel runs between slide compactions, and the Limit budget is
+// translated into a write bound so the decode stops on exactly the
+// token the scalar loop would stop on.
+func (s *Sliding[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
+	t0 := s.total
+	for {
+		fc.R.Refill()
+		if fc.R.Bits() < fastMinBits {
+			return s.total - t0, false, nil
+		}
+		s.slide(fastSlack)
+		w0 := len(s.Buf)
+		minSrc := 0
+		if fc.Track {
+			// The first produced cell sits at w0-total until a slide
+			// drops it from the buffer.
+			minSrc = max(w0-int(s.total), 0)
+		}
+		maxW := slideAt // cap is SlidingCap: in budget
+		if s.Limit > 0 {
+			maxW = min(maxW, w0+int(s.Limit-s.total))
+		}
+		w, st := decodeFast(fc.R, fc.Lit, fc.Dist, s.Buf[:cap(s.Buf)], w0, maxW, minSrc)
+		s.total += int64(w - w0)
+		s.Buf = s.Buf[:w]
+		switch {
+		case s.Limit > 0 && s.total >= s.Limit:
+			return s.total - t0, false, Stop
+		case st != fastMore:
+			return s.total - t0, st == fastEOB, nil
+		}
+	}
+}
+
+// TailSink is the exact Sliding sink. Skip-mode chunks whose initial
+// context is already resolved decode through it, and the
 // checkpoint-harvest pass uses its capture hooks to snapshot the
 // history window at chosen output offsets (block boundaries).
 type TailSink struct {
-	buf   []byte
-	total int64 // bytes produced (excludes the seeded context)
-	// Blocks accumulates one span per decoded block when RecordBlocks
-	// was called.
-	Blocks []BlockSpan
-	record bool
-	// Limit, when > 0, stops decoding (with Stop) once total reaches
-	// this many bytes.
-	Limit int64
+	Sliding[byte]
 
 	// captureAt are produced-output offsets, strictly ascending, at
 	// which the current history window is snapshotted when a block
@@ -44,13 +133,8 @@ type TailSink struct {
 	walkBits    []int64
 }
 
-// tailSlideBytes mirrors tracked's sliding scheme: compact once the
-// buffer would outgrow two windows, keeping the copy cost ~1 byte per
-// output byte and the working set cache-resident.
-const tailSlideBytes = 2 * WindowSize
-
 var tailBufPool = sync.Pool{
-	New: func() any { return make([]byte, 0, tailSlideBytes+MaxMatch) },
+	New: func() any { return make([]byte, 0, SlidingCap) },
 }
 
 // NewTailSink returns a TailSink seeded with ctx (len WindowSize, or
@@ -59,8 +143,8 @@ var tailBufPool = sync.Pool{
 // still rejected). The buffer is pooled; hand it back with Release.
 func NewTailSink(ctx []byte) *TailSink {
 	buf := tailBufPool.Get().([]byte)
-	if cap(buf) < tailSlideBytes+MaxMatch {
-		buf = make([]byte, 0, tailSlideBytes+MaxMatch)
+	if cap(buf) < SlidingCap {
+		buf = make([]byte, 0, SlidingCap)
 	}
 	buf = buf[:WindowSize]
 	if ctx != nil {
@@ -68,24 +152,18 @@ func NewTailSink(ctx []byte) *TailSink {
 	} else {
 		clear(buf)
 	}
-	return &TailSink{buf: buf}
+	return &TailSink{Sliding: Sliding[byte]{Buf: buf}}
 }
 
 // Release returns the sliding buffer to the pool. The sink must not be
 // used afterwards; captured windows remain valid (they are private
 // allocations).
 func (s *TailSink) Release() {
-	if cap(s.buf) > 0 {
-		tailBufPool.Put(s.buf[:0]) //nolint:staticcheck
+	if cap(s.Buf) > 0 {
+		tailBufPool.Put(s.Buf[:0]) //nolint:staticcheck
 	}
-	s.buf = nil
+	s.Buf = nil
 }
-
-// RecordBlocks enables per-block span recording.
-func (s *TailSink) RecordBlocks() { s.record = true }
-
-// Len returns the number of output bytes decoded so far.
-func (s *TailSink) Len() int64 { return s.total }
 
 // CaptureAt arms window snapshots: when a block boundary (or the final
 // FlushCaptures call) lands exactly at one of these produced-output
@@ -115,15 +193,17 @@ func (s *TailSink) FlushCaptures() { s.capture() }
 
 // WindowInto fills dst (len WindowSize) with the current history
 // window: the trailing WindowSize bytes of context ++ output.
-func (s *TailSink) WindowInto(dst []byte) {
-	copy(dst, s.buf[len(s.buf)-WindowSize:])
+func (s *TailSink) WindowInto(dst []byte) { copy(dst, s.Window()) }
+
+func (s *TailSink) snapshot() {
+	w := make([]byte, WindowSize)
+	s.WindowInto(w)
+	s.captured = append(s.captured, w)
 }
 
 func (s *TailSink) capture() {
 	for s.ci < len(s.captureAt) && s.captureAt[s.ci] == s.total {
-		w := make([]byte, WindowSize)
-		s.WindowInto(w)
-		s.captured = append(s.captured, w)
+		s.snapshot()
 		s.ci++
 	}
 }
@@ -141,65 +221,21 @@ func (s *TailSink) MissedCapture() string {
 	return fmt.Sprintf("offset %d (decoded %d)", s.captureAt[s.ci], s.total)
 }
 
-func (s *TailSink) slide(n int) {
-	if len(s.buf)+n <= tailSlideBytes {
-		return
-	}
-	copy(s.buf, s.buf[len(s.buf)-WindowSize:])
-	s.buf = s.buf[:WindowSize]
-}
-
+// BlockStart runs the StopBit test before any capture: a block at or
+// past StopBit belongs to the next chunk, so nothing is snapshotted or
+// marked for it.
 func (s *TailSink) BlockStart(ev BlockEvent) error {
+	if err := s.Sliding.BlockStart(ev); err != nil {
+		return err
+	}
 	if len(s.captureAt) > 0 {
 		s.capture()
 	}
 	if s.walk && s.total >= s.walkNext {
-		w := make([]byte, WindowSize)
-		s.WindowInto(w)
-		s.captured = append(s.captured, w)
+		s.snapshot()
 		s.walkOuts = append(s.walkOuts, s.total)
 		s.walkBits = append(s.walkBits, ev.StartBit)
 		s.walkNext = s.total + s.walkSpacing
-	}
-	if s.record {
-		s.Blocks = append(s.Blocks, BlockSpan{Event: ev, OutStart: s.total})
-	}
-	return nil
-}
-
-func (s *TailSink) Literal(b byte) error {
-	s.slide(1)
-	s.buf = append(s.buf, b)
-	s.total++
-	if s.Limit > 0 && s.total >= s.Limit {
-		return Stop
-	}
-	return nil
-}
-
-func (s *TailSink) Match(length, dist int) error {
-	s.slide(length)
-	n := len(s.buf)
-	src := n - dist // >= 0: at least WindowSize bytes are always retained
-	if dist >= length {
-		s.buf = append(s.buf, s.buf[src:src+length]...)
-	} else {
-		for i := 0; i < length; i++ {
-			s.buf = append(s.buf, s.buf[src+i])
-		}
-	}
-	s.total += int64(length)
-	if s.Limit > 0 && s.total >= s.Limit {
-		return Stop
-	}
-	return nil
-}
-
-func (s *TailSink) BlockEnd(nextBit int64) error {
-	if s.record && len(s.Blocks) > 0 {
-		last := &s.Blocks[len(s.Blocks)-1]
-		last.EndBit = nextBit
-		last.OutEnd = s.total
 	}
 	return nil
 }

@@ -81,6 +81,47 @@ func TestTailSinkMatchesByteSink(t *testing.T) {
 	}
 }
 
+// TestFastTailSinkParity pins TailSink — Sliding[byte] behind its own
+// BlockStart — to the scalar loop: same total, same trailing window and
+// same error at every Limit, including limits around one window, around
+// the compaction point and at the stream's end.
+func TestFastTailSinkParity(t *testing.T) {
+	data := textData(300_000, 73) // > 4 windows: exercises slide()
+	payload := stdCompress(t, data, 6)
+
+	run := func(noFast bool, limit int64) (int64, []byte, error) {
+		r, err := bitio.NewReaderAt(payload, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := NewTailSink(nil)
+		defer sink.Release()
+		sink.Limit = limit
+		dec := NewDecoder(Options{NoFast: noFast})
+		dec.SetTrackStart(true)
+		err = dec.DecodeStream(r, sink)
+		w := make([]byte, WindowSize)
+		sink.WindowInto(w)
+		return sink.Len(), w, err
+	}
+
+	limits := []int64{0, 1, 2, 3, 100, WindowSize - 1, WindowSize, WindowSize + 1,
+		slideAt, slideAt + 7, 299_999, 300_000}
+	for _, limit := range limits {
+		fn, fw, ferr := run(false, limit)
+		sn, sw, serr := run(true, limit)
+		if fn != sn {
+			t.Fatalf("limit %d: total mismatch fast=%d scalar=%d", limit, fn, sn)
+		}
+		if !bytes.Equal(fw, sw) {
+			t.Fatalf("limit %d: window mismatch", limit)
+		}
+		if (ferr == nil) != (serr == nil) || (ferr != nil && ferr.Error() != serr.Error()) {
+			t.Fatalf("limit %d: error mismatch fast=%v scalar=%v", limit, ferr, serr)
+		}
+	}
+}
+
 // TestTailSinkCaptures: armed block-boundary offsets must snapshot the
 // exact history window a full decode would have had there, including a
 // boundary inside the first window (context-padded) and one the decode
@@ -142,6 +183,62 @@ func TestTailSinkCaptures(t *testing.T) {
 		if !bytes.Equal(got[i], want) {
 			t.Fatalf("capture %d (offset %d): window mismatch", i, off)
 		}
+	}
+}
+
+// TestTailSinkStopsBeforeCapture: a TailSink halted by StopBit must
+// take no window, walk mark or block span for the block it halts at,
+// even when that block is exactly the next capture target — the block
+// belongs to the next chunk, whose own decode captures it.
+func TestTailSinkStopsBeforeCapture(t *testing.T) {
+	payload := deflateStd(t, genText(400_000, 21), 6)
+	_, spans, err := DecompressRecorded(payload, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) < 3 {
+		t.Fatal("want >=3 blocks")
+	}
+	first, stop := spans[1], spans[2]
+	for _, tc := range []struct {
+		name string
+		arm  func(*TailSink)
+		// walks and missed are the walk marks taken and the armed
+		// offsets left untaken once the decode halts.
+		walks, missed int
+	}{
+		{"CaptureAt", func(s *TailSink) { s.CaptureAt([]int64{first.OutStart, stop.OutStart}) }, 0, 1},
+		{"CaptureEvery", func(s *TailSink) { s.CaptureEvery(first.OutStart, stop.OutStart-first.OutStart) }, 1, 0},
+	} {
+		r, err := bitio.NewReaderAt(payload, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := NewTailSink(nil)
+		sink.StopBit = stop.Event.StartBit
+		sink.RecordBlocks()
+		tc.arm(sink)
+		dec := NewDecoder(Options{})
+		dec.SetTrackStart(true)
+		final, err := dec.DecodeBlocks(r, sink)
+		outs, bits := sink.WalkMarks()
+		switch {
+		case err != nil || final:
+			t.Fatalf("%s: final=%v err=%v, want a clean StopBit halt", tc.name, final, err)
+		case sink.StoppedAt != stop.Event.StartBit:
+			t.Fatalf("%s: StoppedAt %d, want %d", tc.name, sink.StoppedAt, stop.Event.StartBit)
+		case sink.Len() != stop.OutStart:
+			t.Fatalf("%s: decoded %d bytes, want %d", tc.name, sink.Len(), stop.OutStart)
+		case len(sink.Captured()) != 1:
+			t.Fatalf("%s: %d windows captured, want 1 (the stop block's is the next chunk's)", tc.name, len(sink.Captured()))
+		case len(sink.Blocks) != 2:
+			t.Fatalf("%s: %d block spans, want 2", tc.name, len(sink.Blocks))
+		case len(outs) != tc.walks || tc.walks > 0 && (outs[0] != first.OutStart || bits[0] != first.Event.StartBit):
+			t.Fatalf("%s: walk marks %v/%v, want %d at (%d, %d)", tc.name, outs, bits, tc.walks, first.OutStart, first.Event.StartBit)
+		case sink.CapturesMissed() != tc.missed:
+			t.Fatalf("%s: %d captures missed, want %d", tc.name, sink.CapturesMissed(), tc.missed)
+		}
+		sink.Release()
 	}
 }
 

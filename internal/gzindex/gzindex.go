@@ -167,7 +167,7 @@ type spanSink struct {
 }
 
 func (s *spanSink) BlockEnd(nextBit int64) error {
-	n := int64(len(s.Out) - s.Prefix)
+	n := s.Len()
 	switch {
 	case nextBit >= s.endBit:
 		if nextBit != s.endBit || n != s.spanLen {
@@ -232,19 +232,16 @@ func (ix *Index) inflate(i int, src Source, need int64, buf *[]byte) ([]byte, er
 	defer func() { *buf = s.Out }() // the sink may have grown it
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
-	for {
-		final, err := dec.DecodeBlock(r, s)
-		switch {
-		case errors.Is(err, flate.Stop):
-			return s.Output(), nil
-		case errors.Is(err, ErrMismatch):
-			return nil, fmt.Errorf("gzindex: span %d: %w", i, err)
-		case err != nil:
-			return nil, fmt.Errorf("gzindex: span %d: %w: %w", i, ErrMismatch, err)
-		case final:
-			return nil, fmt.Errorf("gzindex: span %d: %w: stream ends inside it", i, ErrMismatch)
-		}
+	final, err := dec.DecodeBlocks(r, s)
+	switch {
+	case errors.Is(err, ErrMismatch):
+		return nil, fmt.Errorf("gzindex: span %d: %w", i, err)
+	case err != nil:
+		return nil, fmt.Errorf("gzindex: span %d: %w: %w", i, ErrMismatch, err)
+	case final:
+		return nil, fmt.Errorf("gzindex: span %d: %w: stream ends inside it", i, ErrMismatch)
 	}
+	return s.Output(), nil
 }
 
 // ReadAtSource fills p with decompressed bytes starting at output

@@ -1,7 +1,7 @@
 package tracked
 
 import (
-	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -9,30 +9,33 @@ import (
 	"repro/internal/flate"
 )
 
-// decodeSinkWith drives a Sink through a decoder with the fast loop
-// toggled, mirroring DecodeFrom but exposing NoFast.
-func decodeSinkWith(t *testing.T, payload []byte, startBit int64, limit int, noFast bool) *Sink {
+// These tests pin the fast loop to the scalar one through this
+// package's own sinks — the pooled buffers, the U_j seeding of NewSink
+// and NewTailSink, and Tail() — on top of the generic parity harness in
+// internal/flate.
+
+// decodeWith drives v through a decoder from startBit with the fast
+// loop toggled, until the final block or a Stop (which DecodeBlocks
+// reports as a nil error).
+func decodeWith(t *testing.T, payload []byte, startBit int64, v flate.Visitor, noFast bool) {
 	t.Helper()
 	r, err := bitio.NewReaderAt(payload, startBit)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := flate.NewDecoder(flate.Options{NoFast: noFast}).DecodeBlocks(r, v); err != nil {
+		t.Fatalf("noFast=%v: %v", noFast, err)
+	}
+}
+
+// decodeSinkWith decodes into a fresh Sink, mirroring DecodeFrom but
+// exposing NoFast. The caller releases the sink.
+func decodeSinkWith(t *testing.T, payload []byte, startBit, limit int64, noFast bool) *Sink {
+	t.Helper()
 	sink := NewSink(0)
 	sink.Limit = limit
-	sink.RecordSpans()
-	dec := flate.NewDecoder(flate.Options{NoFast: noFast})
-	for {
-		f, err := dec.DecodeBlock(r, sink)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			t.Fatalf("noFast=%v: %v", noFast, err)
-		}
-		if f {
-			break
-		}
-	}
+	sink.RecordBlocks()
+	decodeWith(t, payload, startBit, sink, noFast)
 	return sink
 }
 
@@ -47,7 +50,7 @@ func TestFastSymbolicParity(t *testing.T) {
 			startBit := spans[k].Event.StartBit
 			fast := decodeSinkWith(t, payload, startBit, 0, false)
 			scalar := decodeSinkWith(t, payload, startBit, 0, true)
-			fo, so := fast.Out(), scalar.Out()
+			fo, so := fast.Output(), scalar.Output()
 			if len(fo) != len(so) {
 				t.Fatalf("level %d block %d: length %d vs %d", level, k, len(fo), len(so))
 			}
@@ -56,14 +59,16 @@ func TestFastSymbolicParity(t *testing.T) {
 					t.Fatalf("level %d block %d: symbol %d: %d vs %d", level, k, i, fo[i], so[i])
 				}
 			}
-			if len(fast.Spans) != len(scalar.Spans) {
-				t.Fatalf("level %d block %d: span count %d vs %d", level, k, len(fast.Spans), len(scalar.Spans))
+			if len(fast.Blocks) != len(scalar.Blocks) {
+				t.Fatalf("level %d block %d: span count %d vs %d", level, k, len(fast.Blocks), len(scalar.Blocks))
 			}
-			for i := range fast.Spans {
-				if fast.Spans[i] != scalar.Spans[i] {
+			for i := range fast.Blocks {
+				if fast.Blocks[i] != scalar.Blocks[i] {
 					t.Fatalf("level %d block %d: span %d mismatch", level, k, i)
 				}
 			}
+			fast.Release()
+			scalar.Release()
 		}
 	}
 }
@@ -75,18 +80,17 @@ func TestFastSymbolicLimitParity(t *testing.T) {
 	data := dna.Random(200_000, 32)
 	payload, spans := fixture(t, data, 6)
 	startBit := spans[1].Event.StartBit
-	for _, limit := range []int{1, 2, 3, 100, WindowSize, 150_000} {
+	for _, limit := range []int64{1, 2, 3, 100, WindowSize, 150_000} {
 		fast := decodeSinkWith(t, payload, startBit, limit, false)
 		scalar := decodeSinkWith(t, payload, startBit, limit, true)
 		if fast.Len() != scalar.Len() {
 			t.Fatalf("limit %d: %d vs %d entries", limit, fast.Len(), scalar.Len())
 		}
-		fo, so := fast.Out(), scalar.Out()
-		for i := range fo {
-			if fo[i] != so[i] {
-				t.Fatalf("limit %d: symbol %d mismatch", limit, i)
-			}
+		if !slices.Equal(fast.Output(), scalar.Output()) {
+			t.Fatalf("limit %d: symbols differ", limit)
 		}
+		fast.Release()
+		scalar.Release()
 	}
 }
 
@@ -96,35 +100,17 @@ func TestFastTailSymbolicParity(t *testing.T) {
 	data := dna.Random(500_000, 33) // many windows of output
 	payload, spans := fixture(t, data, 6)
 
-	run := func(noFast bool, startBit int64, limit int) (int64, []uint16) {
-		r, err := bitio.NewReaderAt(payload, startBit)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(noFast bool, startBit, limit int64) (int64, []uint16) {
 		sink := NewTailSink()
+		defer sink.Release()
 		sink.Limit = limit
-		dec := flate.NewDecoder(flate.Options{NoFast: noFast})
-		for {
-			f, err := dec.DecodeBlock(r, sink)
-			if err != nil {
-				if errors.Is(err, flate.Stop) {
-					break
-				}
-				t.Fatalf("noFast=%v: %v", noFast, err)
-			}
-			if f {
-				break
-			}
-		}
-		tail := append([]uint16(nil), sink.Tail()...)
-		total := sink.total
-		sink.Release()
-		return total, tail
+		decodeWith(t, payload, startBit, sink, noFast)
+		return sink.Len(), slices.Clone(sink.Tail())
 	}
 
 	for _, k := range []int{0, 1} {
 		startBit := spans[k].Event.StartBit
-		for _, limit := range []int{0, 7, WindowSize + 3, 400_000} {
+		for _, limit := range []int64{0, 7, WindowSize + 3, 400_000} {
 			fn, ft := run(false, startBit, limit)
 			sn, st := run(true, startBit, limit)
 			if fn != sn {

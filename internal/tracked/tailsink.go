@@ -1,52 +1,20 @@
 package tracked
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
-	"repro/internal/bitio"
 	"repro/internal/flate"
 )
 
-// TailSink is the skip-mode counterpart of Sink: a flate.Visitor that
-// decodes with a fully undetermined context but materialises only a
-// running output count plus the trailing WindowSize symbols — the one
-// part of a skipped chunk's output that pass 2 ever touches (the
+// TailSink is the skip-mode counterpart of Sink: a flate.Sliding over
+// uint16 cells, seeded with the undetermined context, that keeps only
+// a running output count plus the trailing WindowSize symbols — the
+// one part of a skipped chunk's output that pass 2 ever touches (the
 // window propagated to the successor, w_{i+1} = resolve(tail(D_i),
 // w_i)). Memory per chunk is O(WindowSize) instead of O(chunk output),
 // which is what makes deep seeks, Size() passes, and streaming index
 // builds cheap on the memory side.
-//
-// The backing buffer is a sliding window: the symbolic initial context
-// occupies the first WindowSize entries, appends accumulate behind it,
-// and once the buffer reaches tailSlide entries the trailing
-// WindowSize are copied to the front. Back-references reach at most
-// WindowSize entries behind the write position, so the retained tail
-// always covers them.
-type TailSink struct {
-	buf   []uint16
-	total int64 // output entries produced
-	// Spans records per-block output extents (offsets are produced-
-	// output offsets, i.e. exclude the context prefix).
-	Spans     []flate.BlockSpan
-	recording bool
-	// Limit, when > 0, stops decoding (with flate.Stop) once the
-	// output reaches this many entries.
-	Limit int
-	// StopBit, when > 0, stops cleanly before decoding a block whose
-	// start bit is >= StopBit.
-	StopBit int64
-	// StoppedAt records the start bit of the block that triggered the
-	// StopBit halt (-1 when no halt occurred).
-	StoppedAt int64
-}
-
-// tailSlide is the buffer length at which the sink compacts: the
-// trailing WindowSize entries slide to the front. Keeping one extra
-// window of slack amortises the copy to ~2 bytes per output byte while
-// the whole buffer stays small enough to live in cache.
-const tailSlide = 2 * WindowSize
+type TailSink struct{ flate.Sliding[uint16] }
 
 // tailBufPool recycles the fixed-size sliding buffers of tail sinks.
 // It is deliberately separate from symBufPool: tail buffers never
@@ -55,7 +23,7 @@ const tailSlide = 2 * WindowSize
 // the complete append-growth chain again (and again) instead of
 // reusing an already-grown buffer.
 var tailBufPool = sync.Pool{
-	New: func() any { return make([]uint16, 0, tailSlide+flate.MaxMatch) },
+	New: func() any { return make([]uint16, 0, flate.SlidingCap) },
 }
 
 func putTailBuf(b []uint16) {
@@ -69,137 +37,21 @@ func putTailBuf(b []uint16) {
 // context. Its buffer comes from the tail pool; hand it back via
 // Release (or the owning Result's Release).
 func NewTailSink() *TailSink {
-	s := &TailSink{buf: tailBufPool.Get().([]uint16), StoppedAt: -1}
-	s.buf = s.buf[:WindowSize]
-	for j := 0; j < WindowSize; j++ {
-		s.buf[j] = uint16(SymBase + j)
-	}
+	s := &TailSink{}
+	s.Buf = seedSymbols(tailBufPool.Get().([]uint16))
 	return s
 }
 
 // Release returns the sliding buffer to the tail pool. The sink (and
 // any Tail slice taken from it) must not be used afterwards.
 func (s *TailSink) Release() {
-	putTailBuf(s.buf)
-	s.buf = nil
+	putTailBuf(s.Buf)
+	s.Buf = nil
 }
-
-// RecordSpans enables per-block span recording.
-func (s *TailSink) RecordSpans() { s.recording = true }
-
-// Len returns the number of output entries decoded so far.
-func (s *TailSink) Len() int64 { return s.total }
 
 // Tail returns the trailing min(Len, WindowSize) output entries — the
 // exact slice ResolveWindowInto needs to propagate a context window
 // past this chunk. The slice aliases the sink's pooled buffer.
 func (s *TailSink) Tail() []uint16 {
-	if s.total >= WindowSize {
-		return s.buf[len(s.buf)-WindowSize:]
-	}
-	return s.buf[int64(len(s.buf))-s.total:]
-}
-
-// slide compacts the buffer so the next append of up to n entries fits
-// without growing past the slide threshold.
-func (s *TailSink) slide(n int) {
-	if len(s.buf)+n <= tailSlide {
-		return
-	}
-	copy(s.buf, s.buf[len(s.buf)-WindowSize:])
-	s.buf = s.buf[:WindowSize]
-}
-
-func (s *TailSink) BlockStart(ev flate.BlockEvent) error {
-	if s.StopBit > 0 && ev.StartBit >= s.StopBit {
-		s.StoppedAt = ev.StartBit
-		return flate.Stop
-	}
-	if s.recording {
-		s.Spans = append(s.Spans, flate.BlockSpan{Event: ev, OutStart: s.total})
-	}
-	return nil
-}
-
-func (s *TailSink) Literal(b byte) error {
-	s.slide(1)
-	s.buf = append(s.buf, uint16(b))
-	s.total++
-	if s.Limit > 0 && s.total >= int64(s.Limit) {
-		return flate.Stop
-	}
-	return nil
-}
-
-func (s *TailSink) Match(length, dist int) error {
-	s.slide(length)
-	n := len(s.buf)
-	src := n - dist // >= 0: at least WindowSize entries are always retained
-	if dist >= length {
-		s.buf = append(s.buf, s.buf[src:src+length]...)
-	} else {
-		for i := 0; i < length; i++ {
-			s.buf = append(s.buf, s.buf[src+i])
-		}
-	}
-	s.total += int64(length)
-	if s.Limit > 0 && s.total >= int64(s.Limit) {
-		return flate.Stop
-	}
-	return nil
-}
-
-func (s *TailSink) BlockEnd(nextBit int64) error {
-	if s.recording && len(s.Spans) > 0 {
-		last := &s.Spans[len(s.Spans)-1]
-		last.EndBit = nextBit
-		last.OutEnd = s.total
-	}
-	return nil
-}
-
-// DecodeTailFrom is DecodeFrom in tail-only mode: same decode, same
-// spans and stop conditions, but the Result carries only the output
-// length and the trailing window (Result.Out holds the trailing
-// min(OutLen, WindowSize) symbols; Result.OutLen the true length).
-// Memory stays O(WindowSize) regardless of the chunk's output size.
-func DecodeTailFrom(data []byte, startBit int64, opts DecodeOptions) (*Result, error) {
-	r, err := bitio.NewReaderAt(data, startBit)
-	if err != nil {
-		return nil, err
-	}
-	sink := NewTailSink()
-	sink.Limit = opts.MaxOutput
-	sink.StopBit = opts.StopBit
-	if opts.RecordSpans {
-		sink.RecordSpans()
-	}
-	dec := flate.GetDecoder(flate.Options{})
-	defer flate.PutDecoder(dec)
-
-	final := false
-	for {
-		f, err := dec.DecodeBlock(r, sink)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			sink.Release()
-			return nil, fmt.Errorf("tracked: tail decode at bit %d: %w", startBit, err)
-		}
-		if f {
-			final = true
-			break
-		}
-	}
-	res := &Result{Out: sink.Tail(), OutLen: sink.total, Spans: sink.Spans, Final: final, buf: sink.buf, tailBuf: true}
-	switch {
-	case sink.StoppedAt >= 0:
-		res.EndBit = sink.StoppedAt
-	case len(sink.Spans) > 0 && sink.Spans[len(sink.Spans)-1].EndBit != 0:
-		res.EndBit = sink.Spans[len(sink.Spans)-1].EndBit
-	default:
-		res.EndBit = r.BitPos()
-	}
-	return res, nil
+	return s.Window()[WindowSize-min(s.Len(), WindowSize):]
 }

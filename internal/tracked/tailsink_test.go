@@ -186,21 +186,22 @@ func TestResolveBatchedMatchesScalar(t *testing.T) {
 // panic).
 func TestSinkBlockEndWithoutStart(t *testing.T) {
 	s := NewSink(0)
-	s.RecordSpans()
+	defer s.Release()
+	s.RecordBlocks()
 	if err := s.BlockEnd(99); err != nil {
 		t.Fatalf("Sink.BlockEnd: %v", err)
 	}
-	if len(s.Spans) != 0 {
-		t.Fatalf("Sink recorded %d spans", len(s.Spans))
+	if len(s.Blocks) != 0 {
+		t.Fatalf("Sink recorded %d spans", len(s.Blocks))
 	}
 	ts := NewTailSink()
 	defer ts.Release()
-	ts.RecordSpans()
+	ts.RecordBlocks()
 	if err := ts.BlockEnd(99); err != nil {
 		t.Fatalf("TailSink.BlockEnd: %v", err)
 	}
-	if len(ts.Spans) != 0 {
-		t.Fatalf("TailSink recorded %d spans", len(ts.Spans))
+	if len(ts.Blocks) != 0 {
+		t.Fatalf("TailSink recorded %d spans", len(ts.Blocks))
 	}
 }
 
@@ -239,7 +240,7 @@ func TestTailSinkSlide(t *testing.T) {
 	} else if !equalU16(got, want[len(want)-WindowSize:]) {
 		t.Fatal("tail mismatch after slides")
 	}
-	if len(s.buf) > tailSlide+flate.MaxMatch {
-		t.Fatalf("buffer grew to %d entries", len(s.buf))
+	if len(s.Buf) > flate.SlidingCap {
+		t.Fatalf("buffer grew to %d entries", len(s.Buf))
 	}
 }

@@ -36,36 +36,37 @@ const (
 	UndeterminedByte = '?'
 )
 
-// Sink is a flate.Visitor decoding into a symbolic stream. The
-// backing buffer is prefixed with the 32768-symbol initial context so
-// back-references resolve with plain slice indexing.
-type Sink struct {
-	buf []uint16 // [initial context | decoded output]
-	// Spans records per-block output extents (offsets are into Out(),
-	// i.e. exclude the context prefix).
-	Spans     []flate.BlockSpan
-	recording bool
-	// Limit, when > 0, stops decoding (with flate.Stop) once the
-	// output reaches this many entries.
-	Limit int
-	// StopBit, when > 0, stops cleanly before decoding a block whose
-	// start bit is >= StopBit. Used by the parallel engine to decode
-	// exactly one chunk.
-	StopBit int64
-	// StoppedAt records the start bit of the block that triggered the
-	// StopBit halt (-1 when no halt occurred).
-	StoppedAt int64
-}
+// Sink is the flat symbolic sink: a flate.Linear over uint16 cells
+// whose Prefix is the 32768-symbol initial context, so back-references
+// into the unknown window resolve with plain slice indexing.
+type Sink struct{ flate.Linear[uint16] }
 
 // NewSink returns a Sink with a fully undetermined initial context and
-// capacity for sizeHint output entries.
+// capacity for sizeHint output entries. Its buffer comes from the
+// full-size pool; hand it back via Release (or the owning Result's
+// Release).
 func NewSink(sizeHint int) *Sink {
-	s := &Sink{buf: getSymBuf(WindowSize + sizeHint), StoppedAt: -1}
-	s.buf = s.buf[:WindowSize]
-	for j := 0; j < WindowSize; j++ {
-		s.buf[j] = uint16(SymBase + j)
-	}
+	s := &Sink{}
+	s.Out = seedSymbols(getSymBuf(WindowSize + sizeHint))
+	s.Prefix = WindowSize
 	return s
+}
+
+// Release returns the buffer to the full-size pool. The sink (and any
+// Output slice taken from it) must not be used afterwards.
+func (s *Sink) Release() {
+	putSymBuf(s.Out)
+	s.Out = nil
+}
+
+// seedSymbols fills the first WindowSize entries of buf (capacity
+// permitting) with U_0..U_32767 and returns them.
+func seedSymbols(buf []uint16) []uint16 {
+	buf = buf[:WindowSize]
+	for j := range buf {
+		buf[j] = uint16(SymBase + j)
+	}
+	return buf
 }
 
 // --- Buffer pools -----------------------------------------------------
@@ -115,60 +116,6 @@ func PutWindow(w []byte) {
 		return
 	}
 	windowPool.Put(w[:WindowSize]) //nolint:staticcheck
-}
-
-// RecordSpans enables per-block span recording.
-func (s *Sink) RecordSpans() { s.recording = true }
-
-// Out returns the decoded symbolic stream (excluding the context
-// prefix). The slice aliases the sink's buffer.
-func (s *Sink) Out() []uint16 { return s.buf[WindowSize:] }
-
-// Len returns the number of output entries decoded so far.
-func (s *Sink) Len() int { return len(s.buf) - WindowSize }
-
-func (s *Sink) BlockStart(ev flate.BlockEvent) error {
-	if s.StopBit > 0 && ev.StartBit >= s.StopBit {
-		s.StoppedAt = ev.StartBit
-		return flate.Stop
-	}
-	if s.recording {
-		s.Spans = append(s.Spans, flate.BlockSpan{Event: ev, OutStart: int64(s.Len())})
-	}
-	return nil
-}
-
-func (s *Sink) Literal(b byte) error {
-	s.buf = append(s.buf, uint16(b))
-	if s.Limit > 0 && s.Len() >= s.Limit {
-		return flate.Stop
-	}
-	return nil
-}
-
-func (s *Sink) Match(length, dist int) error {
-	n := len(s.buf)
-	src := n - dist // always >= 0: the context prefix absorbs any distance
-	if dist >= length {
-		s.buf = append(s.buf, s.buf[src:src+length]...)
-	} else {
-		for i := 0; i < length; i++ {
-			s.buf = append(s.buf, s.buf[src+i])
-		}
-	}
-	if s.Limit > 0 && s.Len() >= s.Limit {
-		return flate.Stop
-	}
-	return nil
-}
-
-func (s *Sink) BlockEnd(nextBit int64) error {
-	if s.recording && len(s.Spans) > 0 {
-		last := &s.Spans[len(s.Spans)-1]
-		last.EndBit = nextBit
-		last.OutEnd = int64(s.Len())
-	}
-	return nil
 }
 
 // Result bundles a tracked decode.
@@ -221,47 +168,51 @@ type DecodeOptions struct {
 // at the stream's final block, at opts.StopBit, or after
 // opts.MaxOutput bytes, whichever comes first.
 func DecodeFrom(data []byte, startBit int64, opts DecodeOptions) (*Result, error) {
+	s := NewSink(opts.SizeHint)
+	res, err := decode(data, startBit, opts, s, &s.Control)
+	if err != nil {
+		s.Release()
+		return nil, err
+	}
+	res.Out, res.OutLen, res.buf = s.Output(), s.Len(), s.Out
+	return res, nil
+}
+
+// DecodeTailFrom is DecodeFrom in tail-only mode: same decode, same
+// spans and stop conditions, but the Result carries only the output
+// length and the trailing window (Result.Out holds the trailing
+// min(OutLen, WindowSize) symbols; Result.OutLen the true length).
+// Memory stays O(WindowSize) regardless of the chunk's output size.
+func DecodeTailFrom(data []byte, startBit int64, opts DecodeOptions) (*Result, error) {
+	s := NewTailSink()
+	res, err := decode(data, startBit, opts, s, &s.Control)
+	if err != nil {
+		s.Release()
+		return nil, err
+	}
+	res.Out, res.OutLen, res.buf, res.tailBuf = s.Tail(), s.Len(), s.Buf, true
+	return res, nil
+}
+
+// decode is the body DecodeFrom and DecodeTailFrom share: it arms the
+// sink's halts from opts and runs the decoder over it, leaving the
+// output fields of the Result to the caller.
+func decode(data []byte, startBit int64, opts DecodeOptions, v flate.Visitor, c *flate.Control) (*Result, error) {
 	r, err := bitio.NewReaderAt(data, startBit)
 	if err != nil {
 		return nil, err
 	}
-	sink := NewSink(opts.SizeHint)
-	sink.Limit = opts.MaxOutput
-	sink.StopBit = opts.StopBit
+	c.Limit, c.StopBit = int64(opts.MaxOutput), opts.StopBit
 	if opts.RecordSpans {
-		sink.RecordSpans()
+		c.RecordBlocks()
 	}
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
-
-	final := false
-	for {
-		f, err := dec.DecodeBlock(r, sink)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			putSymBuf(sink.buf)
-			return nil, fmt.Errorf("tracked: decode at bit %d: %w", startBit, err)
-		}
-		if f {
-			final = true
-			break
-		}
+	final, err := dec.DecodeBlocks(r, v)
+	if err != nil {
+		return nil, fmt.Errorf("tracked: decode at bit %d: %w", startBit, err)
 	}
-	res := &Result{Out: sink.Out(), OutLen: int64(sink.Len()), Spans: sink.Spans, Final: final, buf: sink.buf}
-	switch {
-	case sink.StoppedAt >= 0:
-		// Halted at a successor's block start: the decoder had already
-		// consumed part of that block's header, so report the true
-		// boundary.
-		res.EndBit = sink.StoppedAt
-	case len(sink.Spans) > 0 && sink.Spans[len(sink.Spans)-1].EndBit != 0:
-		res.EndBit = sink.Spans[len(sink.Spans)-1].EndBit
-	default:
-		res.EndBit = r.BitPos()
-	}
-	return res, nil
+	return &Result{Spans: c.Blocks, EndBit: c.EndBit(r), Final: final}, nil
 }
 
 // ErrSymbolRange reports a symbolic entry >= SymBase+WindowSize: no

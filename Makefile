@@ -4,8 +4,8 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: ci vet lint staticcheck build test race race-internal race-serve \
-	race-diff race-rest race-cmd fuzz-smoke bench bench-smoke bench-check \
-	benchdiff api apicheck serve loadtest clean
+	race-diff race-rest race-cmd fuzz-smoke bench-smoke bench-check \
+	api apicheck serve loadtest clean
 
 ci: vet lint staticcheck build apicheck race fuzz-smoke bench-check
 
@@ -95,20 +95,6 @@ fuzz-smoke:
 	$(GO) test ./internal/gzindex -run '^$$' -fuzz FuzzIndexUnmarshal -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/flate -run '^$$' -fuzz FuzzFastScalarParity -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
-# Full benchmark sweep with allocation accounting, captured as test2json
-# event lines for the perf trajectory (BENCH_PR2.json, BENCH_PR4.json,
-# ...). PR is this PR's number and has no default — `make bench PR=5`
-# writes BENCH_PR5.json — so a capture never lands on an earlier PR's
-# file by accident; commit the file, and `make benchdiff` (and CI)
-# compares the two most recent captures. BENCHTIME can be raised for
-# stable numbers on quiet hardware.
-BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR$(PR).json
-bench:
-	@test -n "$(PR)" || { echo "bench: set PR=<number> (writes BENCH_PR<number>.json)" >&2; exit 2; }
-	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . > $(BENCHOUT)
-	@grep -o '"Output":"Benchmark[^"]*"' $(BENCHOUT) | sed 's/"Output":"//;s/"$$//;s/\\t/\t/g;s/\\n//' || true
-
 # Quick smoke: every benchmark runs once, no JSON capture. CI uses this
 # to catch bit-rotted benchmark code without paying for real timings.
 bench-smoke:
@@ -137,12 +123,6 @@ bench-smoke:
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -skip 'TestWorkloadsAtSmallScale/serve_ranges' .
 	bash benchmark/run.sh --workload serve_ranges --seconds 1
-
-# Perf-trajectory gate: diff the two most recent BENCH_PRn.json
-# captures; >30% ns/op or allocs/op regressions on the gated hot-path
-# benchmarks fail, everything else warns (see cmd/benchdiff).
-benchdiff:
-	$(GO) run ./cmd/benchdiff -auto .
 
 # --- Serving daemon -------------------------------------------------
 # `make serve` mounts a synthetic blob corpus (generated once into

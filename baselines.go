@@ -32,10 +32,9 @@ type Index struct {
 
 // BuildIndex decompresses the first member of gz once, checkpointing
 // the decoder state every spacing output bytes (0 selects 1 MiB). It is
-// the whole-file framing of the streaming construction path: the decode
-// runs through the parallel pipeline (NewIndexFromReader), and the
-// result is byte-identical to the sequential zran build regardless of
-// thread count.
+// the whole-file framing of the streaming construction path
+// (NewIndexFromReader), and the result is byte-identical to the
+// sequential zran build regardless of thread count.
 func BuildIndex(gz []byte, spacing int64) (*Index, error) {
 	return NewIndexFromReader(bytes.NewReader(gz), spacing, StreamOptions{
 		Threads: runtime.GOMAXPROCS(0),

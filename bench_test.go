@@ -427,7 +427,7 @@ func BenchmarkFileDeepSeek(b *testing.B) {
 }
 
 // BenchmarkBuildIndex measures streaming checkpoint-index construction
-// (one parallel pass, output discarded batch by batch).
+// (one exact pass, output discarded batch by batch).
 func BenchmarkBuildIndex(b *testing.B) {
 	loadFixtures(b)
 	for _, th := range []int{1, 4} {

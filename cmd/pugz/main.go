@@ -41,7 +41,7 @@ func main() {
 	verify := flag.Bool("check", false, "verify CRC-32 and ISIZE (pugz skips checksums by default, like the paper)")
 	stats := flag.Bool("stats", false, "print phase timing to stderr")
 	batch := flag.Int("batch", 0, "compressed bytes per streaming batch (default 4 MiB x threads)")
-	maxWindow := flag.Int("maxwindow", 0, "cap on the buffered compressed window; lower it to fail fast on corrupt or non-text streams (default max(64 MiB, 4 x batch))")
+	maxWindow := flag.Int("maxwindow", 0, "cap on the buffered compressed window; lower it to fail fast on corrupt streams (default max(64 MiB, 4 x batch))")
 	slurp := flag.Bool("slurp", false, "read the whole file into memory and use the two-pass whole-file engine")
 	offset := flag.String("offset", "", "extract starting at this decompressed offset (absolute or NN% of the decompressed size); requires a regular file")
 	length := flag.Int64("length", 0, "with -offset: number of decompressed bytes to extract (0 = to end)")

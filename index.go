@@ -10,19 +10,20 @@ import (
 )
 
 // This file is the streaming construction path for the zran-style
-// checkpoint Index: one bounded-memory parallel pass over any
-// io.Reader, with checkpoints harvested as a side-channel of the normal
-// pipeline decode. The whole-file BuildIndex in baselines.go is a thin
-// wrapper over it, and pugz -mkindex streams through it, so index
-// construction no longer slurps the compressed file or decodes on one
-// goroutine.
+// checkpoint Index: zran's one exact pass, run batch by batch through
+// the bounded-memory pipeline over any io.Reader, with checkpoint
+// windows captured as the decode passes them. The whole-file BuildIndex
+// in baselines.go is a thin wrapper over it, and pugz -mkindex streams
+// through it, so index construction never slurps the compressed file.
 
 // NewIndexFromReader builds a checkpoint index of the first gzip member
-// of src in one parallel streaming pass: checkpoints are emitted every
-// spacing output bytes (0 selects 1 MiB) while batches decode through
-// the bounded-memory pipeline, so peak memory is O(batch x threads +
-// index), independent of the stream size. The resulting index is
-// byte-identical (post-Marshal) to BuildIndex's over the same file.
+// of src in one exact streaming pass: each batch of the bounded-memory
+// pipeline is decoded by a single exact chunk (no block sync, no
+// symbolic decode, no re-decode) that captures a checkpoint every
+// spacing output bytes (0 selects 1 MiB) as it passes it. o.Threads
+// only sizes the batch. Peak memory is O(batch + index), independent of
+// the stream size, and the index is byte-identical (post-Marshal) to
+// BuildIndex's over the same file.
 func NewIndexFromReader(src io.Reader, spacing int64, o StreamOptions) (*Index, error) {
 	ix, _, err := buildIndexStream(src, spacing, o)
 	return ix, err
@@ -61,10 +62,10 @@ func buildIndexStream(src io.Reader, spacing int64, o StreamOptions) (*Index, *i
 	res, err := p.RunMemberOpts(core.MemberRun{
 		// The output is never materialised at all: SkipTo past
 		// everything makes each batch a tail-only measuring pass
-		// (O(32 KiB) per chunk), and ExactCheckpoints re-derives the
-		// spacing-exact boundary windows the zran contract requires, so
-		// the built index still marshals byte-identically to the
-		// sequential gzindex.Build.
+		// (O(32 KiB)), and ExactCheckpoints makes it one exact chunk
+		// that captures the spacing-exact boundary windows the zran
+		// contract requires, so the built index marshals
+		// byte-identically to the sequential gzindex.Build.
 		Emit:              func([]byte) error { return nil },
 		SkipTo:            math.MaxInt64,
 		ExactCheckpoints:  true,
@@ -90,10 +91,10 @@ func buildIndexStream(src io.Reader, spacing int64, o StreamOptions) (*Index, *i
 	return &Index{inner: inner, payloadOff: payloadOff}, st, nil
 }
 
-// BuildIndex builds the index of the File's first member in one
-// parallel streaming pass over its source and attaches it, so
-// subsequent ReadAt calls within the indexed extent decode from the
-// nearest checkpoint. It returns the index (e.g. to Marshal into a
+// BuildIndex builds the index of the File's first member in one exact
+// streaming pass over its source (see NewIndexFromReader) and attaches
+// it, so subsequent ReadAt calls within the indexed extent decode from
+// the nearest checkpoint. It returns the index (e.g. to Marshal into a
 // side-car). Like SetIndex, the attach is atomic: reads in flight see
 // either the previous index or the new one.
 func (f *File) BuildIndex(spacing int64) (*Index, error) {

@@ -88,6 +88,60 @@ func TestStreamIndexByteIdenticalToSlurp(t *testing.T) {
 	}
 }
 
+// TestNonTextStreamAtWindowFloor: seeded random bytes defeat the text
+// checks block sync relies on, so no chunk boundary is ever confirmed.
+// With the compressed window capped at its floor, streaming decode and
+// the streaming index build must still succeed exactly: a batch ends
+// where its exact decode crosses the batch end, with no sync, so the
+// window never has to grow.
+func TestNonTextStreamAtWindowFloor(t *testing.T) {
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(29)).Read(data)
+	var buf bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&buf, 6)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gz := buf.Bytes()
+	const spacing = 128 << 10
+	wantIx := slurpIndexBlob(t, gz, spacing)
+	for _, threads := range []int{1, 2} {
+		o := StreamOptions{
+			Threads:              threads,
+			BatchCompressedBytes: 128 << 10,
+			MinChunk:             16 << 10,
+			ReadSize:             64 << 10,
+			MaxWindowBytes:       1, // raised to the floor: one batch plus slack
+		}
+		r, err := NewReader(bytes.NewReader(gz), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(r)
+		r.Close()
+		if err != nil {
+			t.Fatalf("threads=%d: NewReader: %v", threads, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("threads=%d: NewReader returned %d bytes, want %d (mismatch)", threads, len(got), len(data))
+		}
+		ix, err := NewIndexFromReader(bytes.NewReader(gz), spacing, o)
+		if err != nil {
+			t.Fatalf("threads=%d: NewIndexFromReader: %v", threads, err)
+		}
+		blob, err := ix.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, wantIx) {
+			t.Fatalf("threads=%d: stream-built index differs from slurp build", threads)
+		}
+	}
+}
+
 // TestIndexFromReaderBoundedMemory: index construction over a pipe — the
 // stream never exists as one slice on the consumer side — must keep the
 // compressed residency bounded by the batch size, not the stream size,

@@ -40,9 +40,8 @@ type chunk struct {
 	firstSpan *flate.BlockSpan // first decoded block (symbolic chunks)
 	spans     []flate.BlockSpan
 
-	// Online-captured checkpoint windows (first chunk of a cpExact
-	// skip segment: its spacing walk is fully determined before pass 1,
-	// so the decode pass harvests the windows itself).
+	// Checkpoint windows captured during pass 1 (the one chunk of a
+	// cpExact skip segment), with their output offsets and start bits.
 	capOuts []int64
 	capBits []int64
 	capWins [][]byte
@@ -131,8 +130,9 @@ type segOpts struct {
 	chunkStarts bool
 	startsFrom  int64
 	// cpExact harvests spacing-exact block-boundary checkpoints (the
-	// zran contract) from skipped segments into segment.starts, via a
-	// bounded exact re-decode per chunk that owns a selected boundary.
+	// zran contract) from skipped segments into segment.starts: the
+	// segment is planned as one exact tail-only chunk whose pass-1
+	// decode snapshots every selected window (TailSink.CaptureEvery).
 	// Takes precedence over chunkStarts.
 	cpExact   bool
 	cpSpacing int64
@@ -203,7 +203,7 @@ func decodeSegment(payload []byte, startBit int64, spanBytes int64, ctx []byte, 
 	// resolveSegment owns scratch release from here on; on failure it
 	// leaves releaseScratch to us (idempotent for what it already
 	// returned).
-	if err := resolveSegment(payload, seg, ctx, o.Sequential, so); err != nil {
+	if err := resolveSegment(seg, ctx, o.Sequential, so); err != nil {
 		for _, c := range chunks {
 			c.releaseScratch()
 		}
@@ -234,7 +234,7 @@ func (seg *segment) runPasses(payload []byte, chunks []*chunk, ctx []byte, o Opt
 	// exactly (its context is known); later chunks decode with symbolic
 	// contexts.
 	tP1 := time.Now()
-	if err := runPass1(payload, chunks, ctx, o.Sequential, so.recordSpans, tailOnly, so); err != nil {
+	if err := runPass1(payload, chunks, ctx, o.Sequential, tailOnly, so); err != nil {
 		return fail(err)
 	}
 	seg.pass1Wall += time.Since(tP1)
@@ -309,12 +309,15 @@ func collectSpans(seg *segment) {
 }
 
 // planSegment finds the chunk block starts for the segment beginning at
-// startBit with compressed extent spanBytes. Boundary k targets byte
-// offset start + k*span/n; the k-th chunk begins at the first confirmed
-// block start at or after that target. Boundaries that resolve to the
-// same block start (or none before the next boundary) are merged. A
-// terminal probe at the segment end finds the stop boundary; when none
-// exists (end of stream) the last chunk decodes to the final block.
+// startBit with compressed extent spanBytes. Interior boundary k
+// (0 < k < n) targets byte offset start + k*span/n; the k-th chunk
+// begins at the first confirmed block start at or after that target.
+// Boundaries that resolve to the same block start, to none, or to one
+// at or past the segment end are merged into their predecessor. The
+// segment end needs no probe: the last chunk stops at the first block
+// starting at or past it (StopBit), which its own decode finds, or —
+// when the segment reaches the end of the buffered payload — decodes to
+// the stream's final block. A one-chunk plan runs no block sync at all.
 func planSegment(payload []byte, startBit int64, spanBytes int64, o Options) ([]*chunk, error) {
 	startByte := startBit / 8
 	endByte := startByte + spanBytes
@@ -343,25 +346,22 @@ func planSegment(payload []byte, startBit int64, spanBytes int64, o Options) ([]
 		dur time.Duration
 		err error
 	}
-	// results[0] is fixed at startBit; results[n] is the terminal probe
-	// locating the segment's stop boundary (-1 = none before EOF).
-	results := make([]found, n+1)
+	// results[0] is fixed at startBit; results[k] is interior boundary
+	// k's probe (-1 = no block start inside the segment).
+	results := make([]found, n)
 	results[0] = found{bit: startBit}
-	forEachChunk(o.Sequential, 1, n+1, func(k int) {
+	forEachChunk(o.Sequential, 1, n, func(k int) {
 		t := time.Now()
-		f := newFinder(o)
 		target := startByte + int64(k)*span/int64(n)
-		bit, err := f.Next(payload, target*8)
-		if errors.Is(err, blockfind.ErrNotFound) {
-			// No block start in the remainder of this boundary's span:
-			// the chunk merges into its predecessor (or, for the
-			// terminal probe, the segment runs to the final block).
-			results[k] = found{bit: -1, dur: time.Since(t)}
-			return
+		bit, err := newFinder(o).Next(payload, target*8)
+		if errors.Is(err, blockfind.ErrNotFound) || err == nil && bit >= endByte*8 {
+			// No block start left inside the segment: the chunk merges
+			// into its predecessor.
+			bit, err = -1, nil
 		}
 		results[k] = found{bit: bit, dur: time.Since(t), err: err}
 	})
-	for k := 1; k <= n; k++ {
+	for k := 1; k < n; k++ {
 		if results[k].err != nil {
 			return nil, fmt.Errorf("core: chunk %d sync: %w", k, results[k].err)
 		}
@@ -384,18 +384,10 @@ func planSegment(payload []byte, startBit int64, spanBytes int64, o Options) ([]
 		chunks[i].stopBit = chunks[i+1].startBit
 	}
 	lastChunk := chunks[len(chunks)-1]
-	switch stopBit := results[n].bit; {
-	case stopBit > prev:
-		lastChunk.stopBit = stopBit
-	case stopBit < 0:
-		// No non-final block start remains after the segment span: the
-		// tail holds at most the final block; decode to it.
+	if endByte == int64(len(payload)) {
 		lastChunk.last = true
-	default:
-		// The only boundary at/after the segment end is the last chunk's
-		// own start (an unusually large block): decode exactly one
-		// block so the segment stays bounded.
-		lastChunk.stopBit = prev + 1
+	} else {
+		lastChunk.stopBit = endByte * 8
 	}
 	return chunks, nil
 }
@@ -437,19 +429,18 @@ func forEachChunk(sequential bool, lo, hi int, fn func(int)) {
 // it decodes exactly into bytes; the rest decode with fully
 // undetermined symbolic contexts. In tailOnly mode every chunk keeps
 // only its output count and trailing window (skip-mode pass 1), and
-// when the segment harvests exact checkpoints the first chunk also
-// snapshots its own checkpoint windows on the fly (its spacing walk
-// depends only on so.startsFrom, known before the decode starts).
-func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, recordSpans, tailOnly bool, so segOpts) error {
+// when the segment harvests exact checkpoints the first chunk — then
+// the only one — snapshots the checkpoint windows as it decodes.
+func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential, tailOnly bool, so segOpts) error {
 	errs := make([]error, len(chunks))
 	forEachChunk(sequential, 0, len(chunks), func(i int) {
 		c := chunks[i]
 		t := time.Now()
 		switch {
 		case i == 0 && tailOnly:
-			errs[i] = c.decodePlainTail(payload, ctx, recordSpans, so)
+			errs[i] = c.decodePlainTail(payload, ctx, so)
 		case i == 0:
-			errs[i] = c.decodePlain(payload, ctx, recordSpans)
+			errs[i] = c.decodePlain(payload, ctx, so.recordSpans)
 		default:
 			errs[i] = c.decodeTracked(payload, tailOnly)
 		}
@@ -503,10 +494,11 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 }
 
 // decodePlainTail is decodePlain for skip mode: same exact decode (the
-// initial context is known), but only the output count, block spans,
-// and the resolved final window are kept — O(WindowSize) memory no
-// matter how large the chunk's output is.
-func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so segOpts) error {
+// initial context is known), but only the output count and the
+// resolved final window are kept — O(WindowSize) memory no matter how
+// large the chunk's output is — plus, for exact checkpoints, the
+// windows of the spacing walk, snapshotted as the decode passes them.
+func (c *chunk) decodePlainTail(payload []byte, ctx []byte, so segOpts) error {
 	r, err := bitio.NewReaderAt(payload, c.startBit)
 	if err != nil {
 		return err
@@ -514,12 +506,7 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so
 	sink := flate.NewTailSink(ctx)
 	defer sink.Release()
 	sink.StopBit = c.stopBit
-	if recordSpans {
-		sink.RecordBlocks()
-	}
-	if so.cpExact && so.cpSpacing > 0 {
-		// The first chunk's checkpoint walk is known before decoding:
-		// harvest its windows in this very pass instead of re-decoding.
+	if so.cpExact {
 		sink.CaptureEvery(so.startsFrom, so.cpSpacing)
 	}
 	dec := flate.GetDecoder(flate.Options{})
@@ -536,7 +523,6 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so
 	c.capWins = sink.Captured()
 	c.capOuts, c.capBits = sink.WalkMarks()
 	c.endBit = sink.EndBit(r)
-	c.spans = sink.Blocks
 	c.outN = sink.Len()
 	c.m.OutBytes = c.outN
 	return nil
@@ -630,7 +616,7 @@ func (p *probeSink) BlockEnd(nextBit int64) error         { p.endBit = nextBit; 
 // the output allocation are elided: seg.out stays nil and only
 // seg.outLen and the propagated windows survive — the two-pass skip
 // that makes deep seeks cheap.
-func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, so segOpts) error {
+func resolveSegment(seg *segment, ctx []byte, sequential bool, so segOpts) error {
 	chunks := seg.chunks
 
 	// Layout: prefix sums of chunk output sizes.
@@ -686,21 +672,30 @@ func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, s
 	}
 	seg.pass2SeqWall = time.Since(tSeq)
 
+	fail := func(err error) error {
+		releaseChain()
+		for _, c := range chunks {
+			c.releaseScratch()
+		}
+		tracked.PutWindow(w)
+		return err
+	}
+
 	// Skipped segments harvest restart points while the chain's windows
 	// are still alive: spacing-exact block boundaries when the caller
-	// needs the zran contract (index builds), otherwise the free
-	// chunk-start checkpoints (each chunk's start bit is a confirmed
-	// block boundary and c.ctx the resolved 32 KiB preceding it).
+	// needs the zran contract (index builds; the segment's one exact
+	// chunk captured them as it decoded), otherwise the free chunk-start
+	// checkpoints (each chunk's start bit is a confirmed block boundary
+	// and c.ctx the resolved 32 KiB preceding it).
 	if !translate {
 		switch {
-		case so.cpExact && so.cpSpacing > 0:
-			if err := captureExactCheckpoints(payload, seg, sequential, so); err != nil {
-				releaseChain()
-				for _, c := range chunks {
-					c.releaseScratch()
-				}
-				tracked.PutWindow(w)
-				return err
+		case so.cpExact:
+			c := chunks[0]
+			if len(chunks) != 1 || !c.tailed {
+				return fail(errors.New("core: internal: exact checkpoints need one tail-decoded chunk"))
+			}
+			for k, win := range c.capWins {
+				seg.starts = append(seg.starts, Checkpoint{Bit: c.capBits[k], Out: c.capOuts[k], Window: win})
 			}
 		case so.chunkStarts:
 			for _, c := range chunks {
@@ -738,12 +733,7 @@ func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, s
 		})
 		seg.pass2ParWall = time.Since(tPar)
 		if err := errors.Join(errs...); err != nil {
-			releaseChain()
-			for _, c := range chunks {
-				c.releaseScratch()
-			}
-			tracked.PutWindow(w)
-			return err
+			return fail(err)
 		}
 	}
 	releaseChain()
@@ -753,125 +743,6 @@ func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, s
 	seg.out = out
 	seg.window = w
 	return nil
-}
-
-// captureExactCheckpoints harvests spacing-exact block-boundary
-// checkpoints from a skipped (tail-only) segment. Selection replays
-// the exact walk the translated path and the sequential zran build
-// use — the first boundary at or past the running target, then
-// target = boundary + spacing — over the per-chunk block spans that
-// tail-only pass 1 recorded.
-//
-// The same rule lives in two more places that must stay in lock-step:
-// flate.TailSink.CaptureEvery (the first chunk's online harvest, which
-// the cross-check below verifies against this walk at runtime) and the
-// re-filter in pipeline.go's emitCheckpoints (which must select every
-// entry this walk emits, or windows get captured and silently
-// dropped). Change one, change all three. The windows are then materialised by one
-// exact forward re-decode per chunk that owns a selected boundary
-// (its resolved initial context is known after pass 2a), stopping at
-// the chunk's last selected boundary. Chunks with no selected
-// boundary pay nothing, and memory stays O(WindowSize) per chunk.
-func captureExactCheckpoints(payload []byte, seg *segment, sequential bool, so segOpts) error {
-	chunks := seg.chunks
-	type capturePlan struct {
-		targets []int64 // chunk-relative output offsets of selected boundaries
-		bits    []int64 // normalized payload bit offsets of those boundaries
-	}
-	plans := make([]capturePlan, len(chunks))
-	next := so.startsFrom
-	selected := 0
-	for i, c := range chunks {
-		for j, s := range c.spans {
-			segRel := c.out + s.OutStart
-			if segRel < next {
-				continue
-			}
-			bit := s.Event.StartBit
-			if j == 0 && i > 0 {
-				// Stored-block padding makes a candidate start bit
-				// ambiguous; a sequential decode reports the
-				// predecessor's stop position (see collectSpans).
-				bit = chunks[i-1].endBit
-			}
-			plans[i].targets = append(plans[i].targets, s.OutStart)
-			plans[i].bits = append(plans[i].bits, bit)
-			next = segRel + so.cpSpacing
-			selected++
-		}
-	}
-	if selected == 0 {
-		return nil
-	}
-	wins := make([][][]byte, len(chunks))
-	errs := make([]error, len(chunks))
-	forEachChunk(sequential, 0, len(chunks), func(i int) {
-		if len(plans[i].targets) == 0 {
-			return
-		}
-		c := chunks[i]
-		if i == 0 && c.capWins != nil {
-			// The first chunk harvested its windows online during pass 1;
-			// cross-check its walk against the span walk before trusting
-			// them (they replay the same rule over the same boundaries).
-			if len(c.capOuts) != len(plans[0].targets) {
-				errs[0] = fmt.Errorf("core: online capture took %d windows, walk selected %d",
-					len(c.capOuts), len(plans[0].targets))
-				return
-			}
-			for k, out := range c.capOuts {
-				if out != plans[0].targets[k] || c.capBits[k] != plans[0].bits[k] {
-					errs[0] = fmt.Errorf("core: online capture %d at (out %d, bit %d), walk selected (out %d, bit %d)",
-						k, out, c.capBits[k], plans[0].targets[k], plans[0].bits[k])
-					return
-				}
-			}
-			wins[0] = c.capWins
-			return
-		}
-		wins[i], errs[i] = c.captureWindows(payload, plans[i].targets)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	for i, c := range chunks {
-		for k, win := range wins[i] {
-			seg.starts = append(seg.starts, Checkpoint{
-				Bit:    plans[i].bits[k],
-				Out:    c.out + plans[i].targets[k],
-				Window: win,
-			})
-		}
-	}
-	return nil
-}
-
-// captureWindows re-decodes the chunk exactly (pass 2a resolved its
-// initial context) up to the last target offset, snapshotting the
-// 32 KiB history window at each target block boundary. targets are
-// strictly ascending chunk-relative output offsets of block starts.
-func (c *chunk) captureWindows(payload []byte, targets []int64) ([][]byte, error) {
-	r, err := bitio.NewReaderAt(payload, c.startBit)
-	if err != nil {
-		return nil, err
-	}
-	sink := flate.NewTailSink(c.ctx)
-	defer sink.Release()
-	sink.CaptureAt(targets)
-	last := targets[len(targets)-1]
-	sink.Limit = last
-	dec := flate.GetDecoder(flate.Options{})
-	defer flate.PutDecoder(dec)
-	if last > 0 { // Limit 0 would mean no limit: a capture at 0 needs no decode
-		if _, err := dec.DecodeBlocks(r, sink); err != nil {
-			return nil, fmt.Errorf("core: window capture at bit %d: %w", c.startBit, err)
-		}
-	}
-	sink.FlushCaptures()
-	if sink.CapturesMissed() > 0 {
-		return nil, fmt.Errorf("core: window capture at bit %d stopped short of %s", c.startBit, sink.MissedCapture())
-	}
-	return sink.Captured(), nil
 }
 
 // shiftWindow fills dst with the 32 KiB window that follows producing

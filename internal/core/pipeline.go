@@ -32,17 +32,17 @@ type PipelineOptions struct {
 	// srcbuf.DefaultPrefetch).
 	Prefetch int
 	// MaxWindowBytes caps how far the compressed window may grow while
-	// retrying a failed batch (a block straddling the window end, or
-	// non-text content defeating boundary detection). Without a cap, a
-	// corrupt stream would buffer the entire remaining source before
-	// erroring. Default max(64 MiB, 4 x batch); always at least one
-	// batch plus slack.
+	// retrying a failed batch (a block straddling the window end).
+	// Without a cap, a corrupt stream would buffer the entire remaining
+	// source before erroring. Default max(64 MiB, 4 x batch); always at
+	// least one batch plus slack.
 	MaxWindowBytes int
 }
 
 // batchSlack is how far past the nominal batch end the window is
-// pre-filled, so the batch-terminating block boundary and its
-// confirmation blocks are usually resident on the first decode attempt.
+// pre-filled, so the block straddling the batch end (the batch stops at
+// the first block starting past it) is usually resident on the first
+// decode attempt.
 const batchSlack = 256 << 10
 
 // Pipeline decompresses raw DEFLATE streams pulled from an io.Reader
@@ -177,10 +177,13 @@ type MemberRun struct {
 
 	// ExactCheckpoints makes skipped (translation-free) batches emit
 	// the same spacing-exact block-boundary checkpoints a translated
-	// batch would — the zran contract index builds rely on — at the
-	// cost of one bounded exact re-decode per chunk owning a selected
-	// boundary. Without it, skipped batches contribute chunk-start
-	// restart points only (cheap, and all the auto-index needs).
+	// batch would — the zran contract index builds rely on. The run is
+	// then zran's one sequential pass: every batch is a single exact
+	// chunk (no block sync, no symbolic decode) whose tail-only decode
+	// snapshots each selected window as it passes it; Threads still
+	// sizes the batch. Without it, skipped batches contribute
+	// chunk-start restart points only (cheap, and all the auto-index
+	// needs).
 	ExactCheckpoints bool
 }
 
@@ -222,12 +225,17 @@ func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
 	}
 	memberOut := run.OutBase
 	checkpointing := run.OnCheckpoint != nil && run.CheckpointSpacing > 0
+	exact := checkpointing && run.ExactCheckpoints
+	o := p.inner
+	if exact {
+		o.Threads = 1
+	}
 	nextCpAt := run.OutBase // first candidate boundary checkpoints immediately
 	firstBit := startBit
 	for {
 		so := segOpts{recordSpans: checkpointing, startsFrom: nextCpAt - memberOut}
 		if checkpointing {
-			if run.ExactCheckpoints {
+			if exact {
 				so.cpExact, so.cpSpacing = true, run.CheckpointSpacing
 			} else {
 				so.chunkStarts = true
@@ -249,9 +257,11 @@ func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
 				ratio := (memberOut - run.OutBase + consumed - 1) / consumed
 				est = int64(p.batchBytes) * (ratio + 1) * 2
 			}
-			so.tailOnly = so.skipBelow > est
+			// Exact checkpoints of a skipped batch come only from the
+			// tail sink's capture walk.
+			so.tailOnly = so.skipBelow > est || exact
 		}
-		seg, err := p.decodeNext(startBit, ctx, so)
+		seg, err := p.decodeNext(startBit, ctx, o, so)
 		if err != nil {
 			return MemberResult{}, err
 		}
@@ -340,7 +350,7 @@ func emitCheckpoints(fn func(Checkpoint) error, spacing int64, nextAt *int64,
 // succeeds is identical to the decode over the full stream (DEFLATE is
 // prefix-deterministic), so retry is only ever needed on error. Each
 // batch is one segment of the shared chunk-decode engine.
-func (p *Pipeline) decodeNext(startBit int64, ctx []byte, so segOpts) (*segment, error) {
+func (p *Pipeline) decodeNext(startBit int64, ctx []byte, o Options, so segOpts) (*segment, error) {
 	need := p.batchBytes + batchSlack
 	for {
 		if err := p.win.Fill(need); errors.Is(err, srcbuf.ErrClosed) {
@@ -349,7 +359,7 @@ func (p *Pipeline) decodeNext(startBit int64, ctx []byte, so segOpts) (*segment,
 		// Decode whatever is resident even if the source just failed:
 		// an io.Reader may deliver its final bytes alongside its error.
 		rel := startBit - p.win.Base()*8
-		seg, err := decodeSegment(p.win.Bytes(), rel, int64(p.batchBytes), ctx, p.inner, so)
+		seg, err := decodeSegment(p.win.Bytes(), rel, int64(p.batchBytes), ctx, o, so)
 		if err == nil {
 			return seg, nil
 		}
@@ -422,8 +432,7 @@ func DecompressStream(payload []byte, o StreamOptions, emit func([]byte) error) 
 		ValidByte:            o.ValidByte,
 		Sequential:           o.Sequential,
 		// The payload is already materialized; let the window cover it
-		// all so degraded (non-text) streams decode like the whole-file
-		// engine would.
+		// all so no batch is refused for a block larger than the cap.
 		MaxWindowBytes: len(payload) + 1,
 	})
 	defer p.Close()

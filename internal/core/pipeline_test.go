@@ -8,38 +8,85 @@ import (
 	"repro/internal/fastq"
 )
 
-// TestPipelineWindowGrowthOnBinaryData exercises decodeNext's
-// grow-and-retry path deterministically: high-entropy binary content
+// TestPipelineWindowGrowthOnBinaryData: high-entropy binary content
 // fails the stringent text checks block detection relies on, so no
-// batch-terminating boundary is ever confirmed, every batch decode
-// runs off the window end, and the pipeline must keep growing the
-// window until the member is resident — degrading to a sequential
-// whole-member decode but still producing exact output.
+// interior chunk boundary is ever confirmed. A batch needs none to end:
+// its exact decode stops at the first block past the batch end, where
+// the next batch starts. So the stream must decode exactly, in many
+// batches, without the compressed window ever growing past its floor
+// (batch + batchSlack + one read).
 func TestPipelineWindowGrowthOnBinaryData(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 384<<10)
 	rng.Read(data)
 	payload := mustCompress(t, data, 1)
-	if len(payload) < 3*(64<<10) {
-		t.Fatalf("payload too small (%d) to force growth", len(payload))
+	const batch, readSize = 64 << 10, 16 << 10
+	if len(payload) < batch+batchSlack+readSize {
+		t.Fatalf("payload too small (%d) to outgrow the window floor", len(payload))
 	}
-	var got []byte
-	res, err := DecompressStream(payload, StreamOptions{
+	p := NewPipeline(bytes.NewReader(payload), PipelineOptions{
 		Threads:              4,
-		BatchCompressedBytes: 1, // clamped to the 64 KiB floor
+		BatchCompressedBytes: batch,
 		MinChunk:             8 << 10,
-	}, func(p []byte) error {
-		got = append(got, p...)
-		return nil
+		ReadSize:             readSize,
+		MaxWindowBytes:       1, // clamped to the floor: batch + batchSlack
 	})
-	if err != nil {
+	defer p.Close()
+	var got []byte
+	if _, err := p.RunMember(func(b []byte) error { got = append(got, b...); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("binary stream mismatch (%d vs %d bytes)", len(got), len(data))
 	}
-	if res.Batches != 1 {
-		t.Fatalf("expected the fallback to decode one grown batch, got %d", res.Batches)
+	if p.BatchCount() < 2 {
+		t.Fatalf("%d batches, want the stream split into several", p.BatchCount())
+	}
+	if peak, floor := p.Window().MaxBuffered(), int64(batch+batchSlack+readSize); peak > floor {
+		t.Fatalf("compressed window grew to %d, floor %d", peak, floor)
+	}
+}
+
+// TestPlanSegmentEndsWithoutProbe: the segment end is never probed. The
+// last chunk stops at the first block past the span end (or, when the
+// span reaches the end of the payload, decodes to the final block), and
+// interior probes that find nothing inside the segment merge away.
+func TestPlanSegmentEndsWithoutProbe(t *testing.T) {
+	text := mustCompress(t, corpusFastq(20000, 3), 6)
+	noise := make([]byte, 1<<20)
+	rand.New(rand.NewSource(9)).Read(noise)
+	binary := mustCompress(t, noise, 6)
+	const span = 256 << 10
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		threads int
+		span    int64
+		chunks  int // 0 = more than one
+	}{
+		{"one chunk", text, 1, span, 1},
+		{"one chunk to the end", text, 1, int64(len(text)), 1},
+		{"text", text, 4, span, 0},
+		{"binary", binary, 4, span, 1},
+	} {
+		chunks, err := planSegment(tc.payload, 0, tc.span, Options{Threads: tc.threads, MinChunk: 16 << 10})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.chunks > 0 && len(chunks) != tc.chunks || tc.chunks == 0 && len(chunks) < 2 {
+			t.Fatalf("%s: %d chunks", tc.name, len(chunks))
+		}
+		endBit := min(tc.span, int64(len(tc.payload))) * 8
+		for i, c := range chunks {
+			if c.startBit >= endBit {
+				t.Fatalf("%s: chunk %d starts at bit %d, past the segment end %d", tc.name, i, c.startBit, endBit)
+			}
+		}
+		last := chunks[len(chunks)-1]
+		toEnd := tc.span >= int64(len(tc.payload))
+		if last.last != toEnd || !toEnd && last.stopBit != endBit {
+			t.Fatalf("%s: last chunk (last=%v, stopBit %d), want last=%v stopBit %d", tc.name, last.last, last.stopBit, toEnd, endBit)
+		}
 	}
 }
 

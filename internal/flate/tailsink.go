@@ -1,9 +1,6 @@
 package flate
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Sliding is the window sink for decodes whose output is measured and
 // windowed but never kept: a running count plus a buffer holding at
@@ -107,28 +104,19 @@ func (s *Sliding[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
 }
 
 // TailSink is the exact Sliding sink. Skip-mode chunks whose initial
-// context is already resolved decode through it, and the
-// checkpoint-harvest pass uses its capture hooks to snapshot the
-// history window at chosen output offsets (block boundaries).
+// context is already resolved decode through it, and an index build's
+// exact pass uses its capture walk to snapshot the history window at
+// checkpoint block boundaries as it decodes.
 type TailSink struct {
 	Sliding[byte]
 
-	// captureAt are produced-output offsets, strictly ascending, at
-	// which the current history window is snapshotted when a block
-	// boundary lands exactly there (set via CaptureAt). Captured
-	// windows are freshly allocated WindowSize slices.
-	captureAt []int64
-	captured  [][]byte
-	ci        int
-
-	// Online capture walk (CaptureEvery): snapshot at the first block
-	// boundary at or past walkNext, then advance by walkSpacing — the
-	// same spacing rule the checkpoint emitters replay, so a chunk
-	// whose targets are known up front (the first chunk of a segment)
-	// can harvest its windows in the decoding pass itself.
+	// Capture walk (CaptureEvery): snapshot at the first block boundary
+	// at or past walkNext, then advance by walkSpacing. Captured windows
+	// are freshly allocated WindowSize slices.
 	walk        bool
 	walkNext    int64
 	walkSpacing int64
+	captured    [][]byte
 	walkOuts    []int64
 	walkBits    []int64
 }
@@ -165,16 +153,10 @@ func (s *TailSink) Release() {
 	s.Buf = nil
 }
 
-// CaptureAt arms window snapshots: when a block boundary (or the final
-// FlushCaptures call) lands exactly at one of these produced-output
-// offsets, the trailing WindowSize bytes at that point are copied out.
-// Offsets must be strictly ascending.
-func (s *TailSink) CaptureAt(offsets []int64) { s.captureAt = offsets }
-
-// CaptureEvery arms the online spacing walk: a snapshot at the first
-// block boundary at or past from, then at the first boundary at least
-// spacing output bytes past each previous snapshot. Mutually exclusive
-// with CaptureAt.
+// CaptureEvery arms the capture walk: a snapshot at the first block
+// boundary at or past output offset from, then at the first boundary at
+// least spacing output bytes past each previous snapshot — the zran
+// checkpoint rule.
 func (s *TailSink) CaptureEvery(from, spacing int64) {
 	s.walk, s.walkNext, s.walkSpacing = true, from, spacing
 }
@@ -183,43 +165,12 @@ func (s *TailSink) CaptureEvery(from, spacing int64) {
 func (s *TailSink) Captured() [][]byte { return s.captured }
 
 // WalkMarks returns the output offsets and block start bits of the
-// snapshots an online walk took, parallel to Captured().
+// snapshots, parallel to Captured().
 func (s *TailSink) WalkMarks() (outs, bits []int64) { return s.walkOuts, s.walkBits }
-
-// FlushCaptures takes any snapshot whose offset equals the current
-// output length — the end-of-decode case where the boundary belongs to
-// a block the decode stopped before (e.g. an empty final block).
-func (s *TailSink) FlushCaptures() { s.capture() }
 
 // WindowInto fills dst (len WindowSize) with the current history
 // window: the trailing WindowSize bytes of context ++ output.
 func (s *TailSink) WindowInto(dst []byte) { copy(dst, s.Window()) }
-
-func (s *TailSink) snapshot() {
-	w := make([]byte, WindowSize)
-	s.WindowInto(w)
-	s.captured = append(s.captured, w)
-}
-
-func (s *TailSink) capture() {
-	for s.ci < len(s.captureAt) && s.captureAt[s.ci] == s.total {
-		s.snapshot()
-		s.ci++
-	}
-}
-
-// CapturesMissed reports how many armed offsets were never reached —
-// non-zero means the decode stopped short of a requested snapshot.
-func (s *TailSink) CapturesMissed() int { return len(s.captureAt) - s.ci }
-
-// MissedCapture describes the first unreached offset for error
-// reporting.
-func (s *TailSink) MissedCapture() string {
-	if s.ci >= len(s.captureAt) {
-		return ""
-	}
-	return fmt.Sprintf("offset %d (decoded %d)", s.captureAt[s.ci], s.total)
-}
 
 // BlockStart runs the StopBit test before any capture: a block at or
 // past StopBit belongs to the next chunk, so nothing is snapshotted or
@@ -228,11 +179,10 @@ func (s *TailSink) BlockStart(ev BlockEvent) error {
 	if err := s.Sliding.BlockStart(ev); err != nil {
 		return err
 	}
-	if len(s.captureAt) > 0 {
-		s.capture()
-	}
 	if s.walk && s.total >= s.walkNext {
-		s.snapshot()
+		w := make([]byte, WindowSize)
+		s.WindowInto(w)
+		s.captured = append(s.captured, w)
 		s.walkOuts = append(s.walkOuts, s.total)
 		s.walkBits = append(s.walkBits, ev.StartBit)
 		s.walkNext = s.total + s.walkSpacing

@@ -122,74 +122,10 @@ func TestFastTailSinkParity(t *testing.T) {
 	}
 }
 
-// TestTailSinkCaptures: armed block-boundary offsets must snapshot the
-// exact history window a full decode would have had there, including a
-// boundary inside the first window (context-padded) and one the decode
-// stops at (flush case).
-func TestTailSinkCaptures(t *testing.T) {
-	data := genText(400_000, 9)
-	ctx := genText(WindowSize, 13)
-	// Compress with the seeded dictionary semantics: simplest is to
-	// decode a plain stream and treat ctx as the pre-start window; the
-	// sink only cares that references resolve, and stdlib streams never
-	// reach before their start, so captures exercise the padding path
-	// via small offsets.
-	payload := deflateStd(t, data, 6)
-	_, spans, err := DecompressRecorded(payload, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) < 4 {
-		t.Fatal("want >=4 blocks")
-	}
-	targets := []int64{spans[1].OutStart, spans[2].OutStart, spans[len(spans)-1].OutStart}
-	r, err := bitio.NewReaderAt(payload, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := NewTailSink(ctx)
-	defer sink.Release()
-	sink.CaptureAt(targets)
-	sink.Limit = targets[len(targets)-1]
-	dec := NewDecoder(Options{})
-	for sink.Len() < targets[len(targets)-1] {
-		final, err := dec.DecodeBlock(r, sink)
-		if err != nil {
-			if err == Stop {
-				break
-			}
-			t.Fatal(err)
-		}
-		if final {
-			break
-		}
-	}
-	sink.FlushCaptures()
-	if sink.CapturesMissed() != 0 {
-		t.Fatalf("missed captures: %s", sink.MissedCapture())
-	}
-	got := sink.Captured()
-	if len(got) != len(targets) {
-		t.Fatalf("%d captures, want %d", len(got), len(targets))
-	}
-	for i, off := range targets {
-		want := make([]byte, WindowSize)
-		if off >= WindowSize {
-			copy(want, data[off-WindowSize:off])
-		} else {
-			copy(want, ctx[off:])
-			copy(want[WindowSize-off:], data[:off])
-		}
-		if !bytes.Equal(got[i], want) {
-			t.Fatalf("capture %d (offset %d): window mismatch", i, off)
-		}
-	}
-}
-
 // TestTailSinkStopsBeforeCapture: a TailSink halted by StopBit must
 // take no window, walk mark or block span for the block it halts at,
 // even when that block is exactly the next capture target — the block
-// belongs to the next chunk, whose own decode captures it.
+// belongs to the next segment, whose own decode captures it.
 func TestTailSinkStopsBeforeCapture(t *testing.T) {
 	payload := deflateStd(t, genText(400_000, 21), 6)
 	_, spans, err := DecompressRecorded(payload, 0, true)
@@ -200,45 +136,39 @@ func TestTailSinkStopsBeforeCapture(t *testing.T) {
 		t.Fatal("want >=3 blocks")
 	}
 	first, stop := spans[1], spans[2]
-	for _, tc := range []struct {
-		name string
-		arm  func(*TailSink)
-		// walks and missed are the walk marks taken and the armed
-		// offsets left untaken once the decode halts.
-		walks, missed int
-	}{
-		{"CaptureAt", func(s *TailSink) { s.CaptureAt([]int64{first.OutStart, stop.OutStart}) }, 0, 1},
-		{"CaptureEvery", func(s *TailSink) { s.CaptureEvery(first.OutStart, stop.OutStart-first.OutStart) }, 1, 0},
-	} {
-		r, err := bitio.NewReaderAt(payload, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := NewTailSink(nil)
-		sink.StopBit = stop.Event.StartBit
-		sink.RecordBlocks()
-		tc.arm(sink)
-		dec := NewDecoder(Options{})
-		dec.SetTrackStart(true)
-		final, err := dec.DecodeBlocks(r, sink)
-		outs, bits := sink.WalkMarks()
-		switch {
-		case err != nil || final:
-			t.Fatalf("%s: final=%v err=%v, want a clean StopBit halt", tc.name, final, err)
-		case sink.StoppedAt != stop.Event.StartBit:
-			t.Fatalf("%s: StoppedAt %d, want %d", tc.name, sink.StoppedAt, stop.Event.StartBit)
-		case sink.Len() != stop.OutStart:
-			t.Fatalf("%s: decoded %d bytes, want %d", tc.name, sink.Len(), stop.OutStart)
-		case len(sink.Captured()) != 1:
-			t.Fatalf("%s: %d windows captured, want 1 (the stop block's is the next chunk's)", tc.name, len(sink.Captured()))
-		case len(sink.Blocks) != 2:
-			t.Fatalf("%s: %d block spans, want 2", tc.name, len(sink.Blocks))
-		case len(outs) != tc.walks || tc.walks > 0 && (outs[0] != first.OutStart || bits[0] != first.Event.StartBit):
-			t.Fatalf("%s: walk marks %v/%v, want %d at (%d, %d)", tc.name, outs, bits, tc.walks, first.OutStart, first.Event.StartBit)
-		case sink.CapturesMissed() != tc.missed:
-			t.Fatalf("%s: %d captures missed, want %d", tc.name, sink.CapturesMissed(), tc.missed)
-		}
-		sink.Release()
+	r, err := bitio.NewReaderAt(payload, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewTailSink(nil)
+	defer sink.Release()
+	sink.StopBit = stop.Event.StartBit
+	sink.RecordBlocks()
+	sink.CaptureEvery(first.OutStart, stop.OutStart-first.OutStart)
+	dec := NewDecoder(Options{})
+	dec.SetTrackStart(true)
+	final, err := dec.DecodeBlocks(r, sink)
+	outs, bits := sink.WalkMarks()
+	switch {
+	case err != nil || final:
+		t.Fatalf("final=%v err=%v, want a clean StopBit halt", final, err)
+	case sink.StoppedAt != stop.Event.StartBit:
+		t.Fatalf("StoppedAt %d, want %d", sink.StoppedAt, stop.Event.StartBit)
+	case sink.Len() != stop.OutStart:
+		t.Fatalf("decoded %d bytes, want %d", sink.Len(), stop.OutStart)
+	case len(sink.Captured()) != 1:
+		t.Fatalf("%d windows captured, want 1 (the stop block's is the next segment's)", len(sink.Captured()))
+	case len(sink.Blocks) != 2:
+		t.Fatalf("%d block spans, want 2", len(sink.Blocks))
+	case len(outs) != 1 || outs[0] != first.OutStart || bits[0] != first.Event.StartBit:
+		t.Fatalf("walk marks %v/%v, want one at (%d, %d)", outs, bits, first.OutStart, first.Event.StartBit)
+	}
+	full, _, _ := DecompressRecorded(payload, 0, false)
+	want := make([]byte, WindowSize) // zero-padded before the stream start
+	off := int(first.OutStart)
+	copy(want[max(WindowSize-off, 0):], full[max(off-WindowSize, 0):off])
+	if !bytes.Equal(sink.Captured()[0], want) {
+		t.Fatal("captured window differs from the decoded history")
 	}
 }
 

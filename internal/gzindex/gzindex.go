@@ -14,13 +14,14 @@
 package gzindex
 
 import (
+	"bytes"
+	stdflate "compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/bitio"
-	"repro/internal/deflate"
 	"repro/internal/flate"
 )
 
@@ -293,10 +294,15 @@ const (
 	flagDeflate = 1
 )
 
-// Marshal serialises the index. Windows are compressed with this
-// repository's own DEFLATE (level 6), typically shrinking the index
-// ~3x for FASTQ content.
+// Marshal serialises the index. Windows are compressed with the
+// standard library's DEFLATE (level 6), typically shrinking the index
+// ~3x for FASTQ content; any DEFLATE writer's windows load.
 func (ix *Index) Marshal() ([]byte, error) {
+	var win bytes.Buffer
+	zw, err := stdflate.NewWriter(&win, 6)
+	if err != nil {
+		return nil, err
+	}
 	var out []byte
 	out = append(out, magic...)
 	out = append(out, version, flagDeflate)
@@ -306,12 +312,16 @@ func (ix *Index) Marshal() ([]byte, error) {
 	for _, cp := range ix.Checkpoints {
 		out = binary.LittleEndian.AppendUint64(out, uint64(cp.Bit))
 		out = binary.LittleEndian.AppendUint64(out, uint64(cp.Out))
-		w, err := deflate.Compress(cp.Window, 6)
-		if err != nil {
+		win.Reset()
+		zw.Reset(&win)
+		if _, err := zw.Write(cp.Window); err != nil {
 			return nil, err
 		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(w)))
-		out = append(out, w...)
+		if err := zw.Close(); err != nil {
+			return nil, err
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(win.Len()))
+		out = append(out, win.Bytes()...)
 	}
 	return out, nil
 }

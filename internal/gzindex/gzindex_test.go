@@ -2,6 +2,7 @@ package gzindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -136,6 +137,52 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[off:off+1000]) {
 		t.Fatal("read through deserialised index mismatch")
+	}
+}
+
+// TestUnmarshalOwnDeflateWindows: sidecars whose windows were
+// compressed by this repository's own DEFLATE writer (how Marshal wrote
+// them before it used the standard library) must still load and serve
+// reads: the format records only that windows are deflated.
+func TestUnmarshalOwnDeflateWindows(t *testing.T) {
+	payload, data := fixture(t, 10000, 6)
+	ix, err := Build(payload, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := append([]byte(magic), version, flagDeflate)
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(ix.OutSize))
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(ix.EndBit))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(ix.Checkpoints)))
+	for _, cp := range ix.Checkpoints {
+		blob = binary.LittleEndian.AppendUint64(blob, uint64(cp.Bit))
+		blob = binary.LittleEndian.AppendUint64(blob, uint64(cp.Out))
+		w, err := deflate.Compress(cp.Window, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(w)))
+		blob = append(blob, w...)
+	}
+	ix2, err := Unmarshal(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ix2.Checkpoints) != len(ix.Checkpoints) {
+		t.Fatalf("%d checkpoints, want %d", len(ix2.Checkpoints), len(ix.Checkpoints))
+	}
+	for i := range ix.Checkpoints {
+		if !bytes.Equal(ix2.Checkpoints[i].Window, ix.Checkpoints[i].Window) {
+			t.Fatalf("checkpoint %d window mismatch", i)
+		}
+	}
+	buf := make([]byte, 1000)
+	off := int64(len(data)) * 3 / 4
+	if _, err := ix2.ReadAt(payload, buf, off); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, data[off:off+1000]) {
+		t.Fatal("read through the loaded index mismatch")
 	}
 }
 

@@ -91,8 +91,8 @@ type StreamOptions struct {
 	// decoding (default 2) — the source-side back-pressure bound.
 	Prefetch int
 	// MaxWindowBytes caps compressed-window growth while the pipeline
-	// retries a batch that would not decode (corrupt or non-text
-	// streams). Default max(64 MiB, 4 x batch).
+	// retries a batch that would not decode (a corrupt stream, or a
+	// block straddling the window end). Default max(64 MiB, 4 x batch).
 	MaxWindowBytes int
 }
 

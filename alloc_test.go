@@ -1,0 +1,149 @@
+package pugz
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"testing"
+)
+
+// allocBytes returns the bytes f allocates in one call, measured after a
+// warm-up call (pools, lazily built tables) and a collection.
+func allocBytes(f func()) uint64 {
+	f()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocCorpus is a seeded 3 MB FASTQ text and its gzip file.
+func allocCorpus(t *testing.T) (data, gz []byte) {
+	t.Helper()
+	data = genFastq(12000, 41)
+	if len(data) > 4<<20 {
+		t.Fatalf("corpus is %d bytes, want at most 4 MiB", len(data))
+	}
+	return data, gzCorpus(t, 12000, 41, 6)
+}
+
+// TestDecompressAllocBudget: the sequential floor sizes its output once
+// from the trailer's ISIZE and returns that buffer, so it allocates
+// about one byte per output byte (7 when it grew by append and
+// re-copied the member).
+func TestDecompressAllocBudget(t *testing.T) {
+	data, gz := allocCorpus(t)
+	for name, run := range map[string]func() ([]byte, error){
+		"Decompress": func() ([]byte, error) {
+			out, _, err := Decompress(gz, Options{Threads: 1})
+			return out, err
+		},
+		"GunzipSequential": func() ([]byte, error) { return GunzipSequential(gz) },
+	} {
+		var out []byte
+		var err error
+		alloc := allocBytes(func() { out, err = run() })
+		if err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("%s: err=%v, output equal=%v", name, err, bytes.Equal(out, data))
+		}
+		if ratio := float64(alloc) / float64(len(data)); ratio > 1.5 {
+			t.Errorf("%s allocated %.2f bytes per output byte, budget 1.5", name, ratio)
+		}
+	}
+}
+
+// withISize returns a copy of gz whose last four bytes (the final
+// member's ISIZE) say isize.
+func withISize(gz []byte, isize uint32) []byte {
+	f := bytes.Clone(gz)
+	binary.LittleEndian.PutUint32(f[len(f)-4:], isize)
+	return f
+}
+
+// TestDecompressForgedISize: ISIZE is a capacity hint only. A wrong,
+// wrapped or forged one changes no byte, still fails verification, and
+// reserves at most the clamp multiple of the compressed input.
+func TestDecompressForgedISize(t *testing.T) {
+	data := genFastq(3000, 42)
+	gz := gzCorpus(t, 3000, 42, 6)
+	if want, _ := stdGunzip(gz); !bytes.Equal(want, data) {
+		t.Fatal("stdlib disagrees with the corpus")
+	}
+	n := uint32(len(data))
+	for _, isize := range []uint32{0, n - 1, n + 1, 0xFFFFFFFF} {
+		forged := withISize(gz, isize)
+		for _, threads := range []int{1, 2} {
+			out, _, err := Decompress(forged, Options{Threads: threads, MinChunk: 32 << 10})
+			if err != nil || !bytes.Equal(out, data) {
+				t.Fatalf("ISIZE %d T=%d: err=%v, output equal=%v", isize, threads, err, bytes.Equal(out, data))
+			}
+			_, _, err = Decompress(forged, Options{Threads: threads, MinChunk: 32 << 10, VerifyChecksums: true})
+			if !errors.Is(err, ErrChecksum) {
+				t.Fatalf("ISIZE %d T=%d verified: err=%v, want ErrChecksum", isize, threads, err)
+			}
+		}
+	}
+	forged := withISize(gz, 0xFFFFFFFF)
+	alloc := allocBytes(func() { _, _, _ = Decompress(forged, Options{Threads: 1}) })
+	if limit := uint64(16*len(forged) + len(data)); alloc > limit {
+		t.Fatalf("ISIZE 0xFFFFFFFF allocated %d bytes, limit %d", alloc, limit)
+	}
+}
+
+// TestDecompressManyMembersTinyLast: the hint comes from the last
+// member's ISIZE, which says nothing about the first; empty members and
+// a tiny last one must decode exactly at any thread count.
+func TestDecompressManyMembersTinyLast(t *testing.T) {
+	text := genFastq(400, 43)
+	var gz, want []byte
+	for i := 0; i < 64; i++ {
+		var part []byte
+		switch {
+		case i == 63:
+			part = []byte("@\n")
+		case i%3 == 1:
+			part = text[i*1000 : i*1000+5000]
+		}
+		m, err := Compress(part, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gz = append(gz, m...)
+		want = append(want, part...)
+	}
+	if std, err := stdGunzip(gz); err != nil || !bytes.Equal(std, want) {
+		t.Fatalf("stdlib: err=%v, output equal=%v", err, bytes.Equal(std, want))
+	}
+	for _, threads := range []int{1, 2} {
+		out, _, err := Decompress(gz, Options{Threads: threads, VerifyChecksums: true})
+		if err != nil || !bytes.Equal(out, want) {
+			t.Fatalf("T=%d: err=%v, output equal=%v", threads, err, bytes.Equal(out, want))
+		}
+	}
+	if out, err := GunzipSequential(gz); err != nil || !bytes.Equal(out, want) {
+		t.Fatalf("GunzipSequential: err=%v, output equal=%v", err, bytes.Equal(out, want))
+	}
+}
+
+// TestDecompressAllEmptyMembersIsNil: a file of empty members decodes
+// to a nil slice, as it did when every member was appended to nil.
+func TestDecompressAllEmptyMembersIsNil(t *testing.T) {
+	empty, err := Compress(nil, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gz := range [][]byte{empty, bytes.Repeat(empty, 64)} {
+		for _, threads := range []int{1, 2} {
+			out, _, err := Decompress(gz, Options{Threads: threads, VerifyChecksums: true})
+			if err != nil || out != nil {
+				t.Fatalf("%d-byte file T=%d: err=%v, out=%#v, want nil", len(gz), threads, err, out)
+			}
+		}
+		if out, err := GunzipSequential(gz); err != nil || out != nil {
+			t.Fatalf("GunzipSequential %d-byte file: err=%v, out=%#v, want nil", len(gz), err, out)
+		}
+	}
+}

@@ -50,6 +50,10 @@ type Options struct {
 	// Metrics.SimulatedMakespan models a machine with one free core
 	// per chunk (how Figure 5's scaling shape is reproduced here).
 	Sequential bool
+	// SizeHint is the expected output size (a gzip trailer's ISIZE).
+	// A one-chunk decode presizes its buffer with it; it is capacity
+	// only and never changes the bytes.
+	SizeHint int
 }
 
 const defaultMinChunk = 128 << 10
@@ -127,7 +131,7 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 		n = maxN
 	}
 	if n <= 1 {
-		out, endBit, err := sequentialDecode(payload)
+		out, endBit, err := flate.DecompressSized(payload, o.SizeHint)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -154,18 +158,4 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 	metrics.TotalWall = time.Since(t0)
 	seg.release()
 	return seg.out, metrics, nil
-}
-
-// sequentialDecode is the single-chunk fallback: a plain exact decode
-// returning the bit position just past the final block.
-func sequentialDecode(payload []byte) ([]byte, int64, error) {
-	out, spans, err := flate.DecompressRecorded(payload, 0, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	var endBit int64
-	if len(spans) > 0 {
-		endBit = spans[len(spans)-1].EndBit
-	}
-	return out, endBit, nil
 }

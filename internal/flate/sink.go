@@ -2,7 +2,6 @@ package flate
 
 import (
 	"errors"
-	"slices"
 
 	"repro/internal/bitio"
 )
@@ -169,7 +168,9 @@ func (s *Linear[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
 		if fc.R.Bits() < fastMinBits {
 			return int64(len(s.Out) - n0), false, nil
 		}
-		s.Out = slices.Grow(s.Out, fastSlack)
+		if cap(s.Out)-len(s.Out) < fastSlack {
+			s.grow()
+		}
 		w0 := len(s.Out)
 		maxW := cap(s.Out) - MaxMatch
 		if s.Limit > 0 {
@@ -186,6 +187,19 @@ func (s *Linear[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
 	}
 }
 
+// grow at least doubles Out's capacity (append's 1.25x steps on large
+// slices copied each cell ~4 times), stopping at the room a Limit can
+// use. Presized sinks (cap >= len + fastSlack throughout) never get here.
+func (s *Linear[E]) grow() {
+	n := 2 * cap(s.Out)
+	if s.Limit > 0 {
+		n = min(n, s.Prefix+int(s.Limit)+fastSlack)
+	}
+	grown := make([]E, len(s.Out), max(n, len(s.Out)+fastSlack))
+	copy(grown, s.Out)
+	s.Out = grown
+}
+
 // DecompressAll decodes a whole DEFLATE stream (starting at bit offset
 // startBit of data) into a byte slice. It applies normal gunzip rules:
 // no validation-mode restrictions, back-references must stay within
@@ -198,20 +212,47 @@ func DecompressAll(data []byte, startBit int64) ([]byte, error) {
 // DecompressRecorded is DecompressAll with optional per-block span
 // recording (used by tests and the chunk planner).
 func DecompressRecorded(data []byte, startBit int64, record bool) ([]byte, []BlockSpan, error) {
-	r, err := bitio.NewReaderAt(data, startBit)
-	if err != nil {
-		return nil, nil, err
-	}
 	sink := &ByteSink{}
 	if record {
 		sink.RecordBlocks()
 	}
-	dec := NewDecoder(Options{})
-	dec.SetTrackStart(true)
-	if err := dec.DecodeStream(r, sink); err != nil {
+	if _, err := decodeWhole(data, startBit, sink); err != nil {
 		return nil, nil, err
 	}
 	return sink.Out, sink.Blocks, nil
+}
+
+// DecompressSized decodes a whole DEFLATE stream from the start of
+// data into a buffer with room for sizeHint bytes, and returns the
+// output and the bit just past the final block. The hint is capacity
+// only: a wrong one costs growth (or unused room), never bytes.
+func DecompressSized(data []byte, sizeHint int) ([]byte, int64, error) {
+	sink := &ByteSink{}
+	if sizeHint > 0 {
+		sink.Out = make([]byte, 0, sizeHint+fastSlack)
+	}
+	endBit, err := decodeWhole(data, 0, sink)
+	if err != nil {
+		return nil, 0, err
+	}
+	return sink.Out, endBit, nil
+}
+
+// decodeWhole decodes the stream at startBit of data into sink under
+// gunzip rules (no reference before the first output byte) and returns
+// the bit just past its final block.
+func decodeWhole(data []byte, startBit int64, sink *ByteSink) (int64, error) {
+	r, err := bitio.NewReaderAt(data, startBit)
+	if err != nil {
+		return 0, err
+	}
+	dec := GetDecoder(Options{})
+	defer PutDecoder(dec)
+	dec.SetTrackStart(true)
+	if err := dec.DecodeStream(r, sink); err != nil {
+		return 0, err
+	}
+	return r.BitPos(), nil
 }
 
 // CountingSink discards output but tallies tokens; used by validation

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/deflate"
 	"repro/internal/fastq"
+	"repro/internal/flate"
 )
 
 func fixture(t testing.TB, reads, level int) (payload, data []byte) {
@@ -212,5 +213,34 @@ func TestBuildDefaultSpacing(t *testing.T) {
 	// ~10 MB output at 1 MiB spacing: around 10 checkpoints.
 	if len(ix.Checkpoints) < 3 || len(ix.Checkpoints) > 30 {
 		t.Fatalf("%d checkpoints at default spacing", len(ix.Checkpoints))
+	}
+}
+
+// TestInflateFullSpanKeepsPresizedBuffer: a whole-span fill decodes
+// into the buffer inflate sized for it (history, span and the kernel's
+// slack) and never grows it, so span fills and the decoded spans the
+// serving cache keeps stay span-sized.
+func TestInflateFullSpanKeepsPresizedBuffer(t *testing.T) {
+	payload, data := fixture(t, 8000, 6)
+	ix, err := Build(payload, 128<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := func(lo, hi int64) ([]byte, error) { return payload[lo:hi], nil }
+	for i, cp := range ix.Checkpoints {
+		_, end := ix.spanEnd(i)
+		span := end - cp.Out
+		hist := int(min(int64(len(cp.Window)), cp.Out))
+		var buf []byte
+		out, err := ix.inflate(i, src, span, &buf)
+		if err != nil || !bytes.Equal(out, data[cp.Out:end]) {
+			t.Fatalf("span %d: err=%v, output equal=%v", i, err, bytes.Equal(out, data[cp.Out:end]))
+		}
+		if room := hist + int(span) + flate.MaxMatch + 2; cap(buf) != room {
+			t.Fatalf("span %d: buffer cap %d, want the presized %d", i, cap(buf), room)
+		}
+		if cap(out) != cap(buf)-hist || &out[0] != &buf[hist] {
+			t.Fatalf("span %d: output is not backed by the presized buffer", i)
+		}
 	}
 }

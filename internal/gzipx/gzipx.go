@@ -150,22 +150,19 @@ func CompressOpts(data []byte, o Options) ([]byte, error) {
 func Decompress(data []byte) ([]byte, error) {
 	var out []byte
 	rest := data
+	hint := SizeHint(data) // for the first member only
 	for len(rest) > 0 {
 		m, err := ParseHeader(rest)
 		if err != nil {
 			return nil, err
 		}
 		payload := rest[m.HeaderLen:]
-		dec, spans, err := flate.DecompressRecorded(payload, 0, true)
+		dec, endBit, err := flate.DecompressSized(payload, hint)
 		if err != nil {
 			return nil, err
 		}
-		// Locate the trailer: the DEFLATE stream ends at the bit
-		// position recorded for the last block; round up to a byte.
-		if len(spans) == 0 {
-			return nil, ErrTruncated
-		}
-		endBit := spans[len(spans)-1].EndBit
+		hint = 0
+		// The trailer follows the final block, rounded up to a byte.
 		endByte := int((endBit + 7) / 8)
 		if len(payload) < endByte+8 {
 			return nil, ErrTruncated
@@ -178,10 +175,35 @@ func Decompress(data []byte) ([]byte, error) {
 		if uint32(len(dec)) != wantISize {
 			return nil, ErrBadISize
 		}
-		out = append(out, dec...)
+		out = AppendMember(out, dec)
 		rest = payload[endByte+8:]
 	}
 	return out, nil
+}
+
+// maxHintRatio caps SizeHint at this multiple of the compressed bytes,
+// so a forged trailer reserves at most that much memory.
+const maxHintRatio = 16
+
+// SizeHint reads a gzip file's last ISIZE, clamped to maxHintRatio
+// times len(file), as the capacity for its first member's output. It
+// is exact only for one member under 4 GiB, so it never decides bytes.
+func SizeHint(file []byte) int {
+	if len(file) < 4 {
+		return 0
+	}
+	isize := int64(binary.LittleEndian.Uint32(file[len(file)-4:]))
+	return int(min(isize, int64(len(file))*maxHintRatio))
+}
+
+// AppendMember appends a member's output to out, handing the first
+// non-empty member's buffer back as out instead of copying it. An
+// all-empty file still yields nil.
+func AppendMember(out, dec []byte) []byte {
+	if out == nil && len(dec) > 0 {
+		return dec
+	}
+	return append(out, dec...)
 }
 
 // PayloadBounds returns the byte range [start,end) of the DEFLATE

@@ -135,11 +135,15 @@ var ErrChecksum = errors.New("pugz: checksum mismatch")
 
 // Decompress decompresses a complete gzip file (all members) in
 // parallel and returns the concatenated output with run statistics.
-// The output is byte-identical to gunzip's.
+// The output is byte-identical to gunzip's. The trailer's ISIZE is
+// read only as a hint for the output's capacity (a wrong or forged one
+// changes no byte), and the result is the decode buffer itself, not a
+// copy of it.
 func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
 	stats := &Stats{}
 	var out []byte
 	rest := gz
+	hint := gzipx.SizeHint(gz) // for the first member only
 	for len(rest) > 0 {
 		member, err := gzipx.ParseHeader(rest)
 		if err != nil {
@@ -150,10 +154,12 @@ func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
 			Threads:    o.Threads,
 			MinChunk:   o.MinChunk,
 			Sequential: o.Sequential,
+			SizeHint:   hint,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
+		hint = 0
 		endByte := int((m.PayloadEndBit + 7) / 8)
 		if len(payload) < endByte+8 {
 			return nil, nil, gzipx.ErrTruncated
@@ -168,7 +174,7 @@ func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
 				return nil, nil, fmt.Errorf("%w: ISIZE", ErrChecksum)
 			}
 		}
-		out = append(out, dec...)
+		out = gzipx.AppendMember(out, dec)
 		stats.addMember(m)
 		rest = payload[endByte+8:]
 	}

@@ -15,10 +15,10 @@
 // heuristics and no assumptions about the file content beyond the
 // stringent text checks used for block detection.
 //
-// All entry points — whole-file (DecompressPayload), bounded-memory
-// streaming (Pipeline, DecompressStream) — run on one shared chunk
-// decoder, decodeSegment in engine.go; they differ only in how they
-// frame segments and carry context windows between them.
+// Both entry points — whole-file (DecompressPayload) and bounded-memory
+// streaming (Pipeline) — run on one shared chunk decoder, decodeSegment
+// in engine.go; they differ only in how they frame segments and carry
+// context windows between them.
 package core
 
 import (
@@ -147,6 +147,10 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer seg.release()
+	if err := seg.translate(o.Sequential); err != nil {
+		return nil, nil, err
+	}
 	for _, c := range seg.chunks {
 		metrics.Chunks = append(metrics.Chunks, c.m)
 	}
@@ -156,6 +160,5 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 	metrics.Pass2ParWall = seg.pass2ParWall
 	metrics.PayloadEndBit = seg.endBit
 	metrics.TotalWall = time.Since(t0)
-	seg.release()
 	return seg.out, metrics, nil
 }

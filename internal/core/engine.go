@@ -17,9 +17,10 @@ import (
 // (DecompressPayload treats the entire payload as one segment) and the
 // streaming pipeline (each bounded batch is one segment). A segment is
 // planned into chunks at confirmed block starts, pass-1 decoded in
-// parallel, trimmed and continuity-checked, then pass-2 resolved against
-// the context window that precedes it. Keeping one implementation means
-// every speed or correctness fix lands in all paths at once.
+// parallel, trimmed and continuity-checked, and its context windows
+// chained from the one that precedes it (pass 2a); translation (pass
+// 2b) is the caller's choice. Keeping one implementation means every
+// speed or correctness fix lands in all paths at once.
 
 // chunk is the per-goroutine working state.
 type chunk struct {
@@ -30,47 +31,35 @@ type chunk struct {
 	// pass-1 results
 	plain     []byte   // exact chunks (known initial context)
 	plainBuf  []byte   // pooled backing of plain (context prefix included)
-	sym       []uint16 // symbolic chunks: full output, or trailing window (tailed)
+	sym       []uint16 // symbolic chunks: full output, or trailing window (measured)
 	symRes    *tracked.Result
-	plainTail []byte // exact tail-only chunks: resolved final window (pooled)
-	tailed    bool   // pass 1 ran tail-only: counts and windows, no output
+	plainTail []byte // measured exact chunks: resolved final window (pooled)
 	outN      int64  // output length (exact in every mode)
 	endBit    int64
 	final     bool
-	firstSpan *flate.BlockSpan // first decoded block (symbolic chunks)
-	spans     []flate.BlockSpan
+	spans     []flate.BlockSpan // decoded blocks (every chunk but a measured exact one)
+	caps      []Checkpoint      // capture-walk snapshots, segment-relative Bit and Out
 
-	// Checkpoint windows captured during pass 1 (the one chunk of a
-	// cpExact skip segment), with their output offsets and start bits.
-	capOuts []int64
-	capBits []int64
-	capWins [][]byte
-
-	ctx []byte // resolved initial context (pass 2)
+	ctx []byte // resolved initial context (pass 2a, pooled)
 	out int64  // offset of this chunk's bytes in the segment output
 
 	m ChunkMetrics
 }
 
-func (c *chunk) outLen() int64 { return c.outN }
-
-// releaseScratch returns the chunk's pass-1 buffers to their pools.
-// Safe to call twice; called after translation and on every failure
-// path (streaming retries a failed segment with a larger window, so
-// failure is routine, not exceptional).
-func (c *chunk) releaseScratch() {
+// release returns the chunk's pass-1 buffers and its context window to
+// their pools. Safe to call twice.
+func (c *chunk) release() {
 	if c.symRes != nil {
 		c.symRes.Release()
-		c.symRes, c.sym, c.firstSpan = nil, nil, nil
+		c.symRes, c.sym = nil, nil
 	}
 	if c.plainBuf != nil {
 		putPlainBuf(c.plainBuf)
 		c.plainBuf, c.plain = nil, nil
 	}
-	if c.plainTail != nil {
-		tracked.PutWindow(c.plainTail)
-		c.plainTail = nil
-	}
+	tracked.PutWindow(c.plainTail)
+	tracked.PutWindow(c.ctx)
+	c.plainTail, c.ctx = nil, nil
 }
 
 // ErrNoFinalBlock is returned when the stream ends without a final
@@ -82,20 +71,11 @@ var ErrNoFinalBlock = errors.New("core: stream has no final block (truncated?)")
 // streaming pipeline (one segment = one batch).
 type segment struct {
 	chunks []*chunk
-	out    []byte // translated output (nil when translation was skipped)
+	out    []byte // translated output (nil until translate)
 	outLen int64  // total output bytes, valid even when out is nil
 	window []byte // resolved last 32 KiB (context for the next segment)
 	endBit int64  // bit offset just past the last decoded block
 	final  bool   // the stream's final block was reached
-
-	// spans are the segment's block boundaries in decode order
-	// (payload-relative bits, segment-relative output offsets) when
-	// segOpts.recordSpans was set; the raw material for checkpoints.
-	spans []flate.BlockSpan
-	// starts are chunk-start restart points with resolved windows,
-	// collected in place of spans-based checkpoints when translation was
-	// skipped (segOpts.chunkStarts).
-	starts []Checkpoint
 
 	syncWall     time.Duration
 	pass1Wall    time.Duration
@@ -103,45 +83,26 @@ type segment struct {
 	pass2ParWall time.Duration
 }
 
-// segOpts frames how one decodeSegment call materialises its results;
-// it is the per-call companion of the long-lived Options.
+// segOpts is the sink strategy of one decodeSegment call. The zero
+// value emits: every chunk keeps its full pass-1 output, so the segment
+// can translate. measure runs pass 1 through the tail sinks instead:
+// each chunk keeps its output count and trailing 32 KiB, O(WindowSize)
+// memory however large its output, which is all sizes and context
+// propagation need, but the segment cannot translate. A measured
+// one-chunk segment can also run the tail sink's capture walk (every >
+// 0): a window snapshot at the first block boundary at or past
+// segment-relative offset from, then every `every` output bytes.
 type segOpts struct {
-	// skipBelow > 0 marks the segment as (potentially) skippable: when
-	// the segment's entire output lies below this segment-relative
-	// offset, pass-2 translation and the output allocation are elided —
-	// the decode still validates structure, measures exact sizes, and
-	// propagates context windows. Segments that reach skipBelow
-	// translate in full.
-	skipBelow int64
-	// tailOnly runs pass 1 through the tail-only sinks: each chunk
-	// keeps a running count plus its trailing 32 KiB (the only part
-	// pass 2 touches for skipped output) instead of materialising the
-	// full symbolic buffer — O(WindowSize) memory per chunk. If the
-	// segment turns out to reach skipBelow after all, pass 1 is re-run
-	// with full buffers; only the one segment straddling a skip target
-	// ever pays that.
-	tailOnly bool
-	// recordSpans collects every block boundary into segment.spans.
-	recordSpans bool
-	// chunkStarts collects chunk-start checkpoints (with copied context
-	// windows) into segment.starts for skipped segments; only starts at
-	// or past segment-relative offset startsFrom are kept, so windows
-	// the spacing filter would discard are never copied.
-	chunkStarts bool
-	startsFrom  int64
-	// cpExact harvests spacing-exact block-boundary checkpoints (the
-	// zran contract) from skipped segments into segment.starts: the
-	// segment is planned as one exact tail-only chunk whose pass-1
-	// decode snapshots every selected window (TailSink.CaptureEvery).
-	// Takes precedence over chunkStarts.
-	cpExact   bool
-	cpSpacing int64
+	measure     bool
+	from, every int64
 }
 
-// release returns the segment's pooled resources (the resolved window)
-// once the caller is done carrying context forward. The output buffer
-// is not pooled: its ownership transfers to the caller.
+// release returns every pooled buffer and window the segment holds. The
+// output buffer is not pooled: its ownership transfers to the caller.
 func (s *segment) release() {
+	for _, c := range s.chunks {
+		c.release()
+	}
 	tracked.PutWindow(s.window)
 	s.window = nil
 }
@@ -152,113 +113,68 @@ func (s *segment) release() {
 // (nil when startBit is the true start of the stream, where
 // back-references before the start are invalid and rejected).
 //
+// It runs block sync, pass 1 and pass 2a: on return every chunk holds
+// its pass-1 output (all of it, or its tail when so.measure) and its
+// resolved initial context c.ctx, and seg.window is the context for the
+// next segment. Pass 2b is translate, for the caller to run or skip;
+// release hands the buffers back either way.
+//
 // payload may be a window onto a longer stream: a successful decode of
 // a prefix is identical to the decode over the full stream, and a
 // decode that runs off the end of the window fails (the caller buffers
 // more and retries).
 func decodeSegment(payload []byte, startBit int64, spanBytes int64, ctx []byte, o Options, so segOpts) (*segment, error) {
-	seg := &segment{}
-
 	// --- Sync: locate one confirmed block start per chunk boundary.
 	tSync := time.Now()
-	planned, err := planSegment(payload, startBit, spanBytes, o)
+	chunks, err := planSegment(payload, startBit, spanBytes, o)
 	if err != nil {
 		return nil, err
 	}
-	seg.syncWall = time.Since(tSync)
-
-	// --- Pass 1 (+ trim + continuity).
-	chunks, err := seg.runPasses(payload, planned, ctx, o, so, so.tailOnly)
-	if err != nil {
+	seg := &segment{chunks: chunks, syncWall: time.Since(tSync)}
+	// On any failure every pooled buffer goes back at once: the streaming
+	// caller retries failed segments with a larger window, so the failure
+	// path is as hot as the success path.
+	if err := seg.decode(payload, ctx, o.Sequential, so); err != nil {
+		seg.release()
 		return nil, err
-	}
-	if so.tailOnly {
-		var total int64
-		for _, c := range chunks {
-			total += c.outN
-		}
-		if so.skipBelow <= 0 || total > so.skipBelow {
-			// The segment reaches output that must be translated, which
-			// tail-only pass 1 cannot feed: decode it again with full
-			// buffers. Only the one segment that straddles a skip target
-			// pays this; fully skipped segments never re-run.
-			for _, c := range chunks {
-				c.releaseScratch()
-			}
-			fresh := make([]*chunk, len(planned))
-			for i, c := range planned {
-				fresh[i] = &chunk{startBit: c.startBit, stopBit: c.stopBit, last: c.last,
-					m: ChunkMetrics{StartBit: c.startBit, Find: c.m.Find}}
-			}
-			seg.final = false
-			if chunks, err = seg.runPasses(payload, fresh, ctx, o, so, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	seg.chunks = chunks
-	seg.endBit = chunks[len(chunks)-1].endBit
-
-	// --- Pass 2: resolve windows sequentially, translate in parallel.
-	// resolveSegment owns scratch release from here on; on failure it
-	// leaves releaseScratch to us (idempotent for what it already
-	// returned).
-	if err := resolveSegment(seg, ctx, o.Sequential, so); err != nil {
-		for _, c := range chunks {
-			c.releaseScratch()
-		}
-		return nil, err
-	}
-	if so.recordSpans && seg.out != nil {
-		// Spans feed the spacing-exact checkpoint walk, which only runs
-		// over translated segments (skipped ones use seg.starts).
-		collectSpans(seg)
 	}
 	return seg, nil
 }
 
-// runPasses runs pass 1 over the planned chunks, trims past the member
-// end, and verifies continuity, returning the live chunk list. On any
-// failure every chunk's pass-1 scratch is back in the pools: the
-// streaming caller retries failed segments with a larger window, so
-// the failure path is as hot as the success path.
-func (seg *segment) runPasses(payload []byte, chunks []*chunk, ctx []byte, o Options, so segOpts, tailOnly bool) ([]*chunk, error) {
-	fail := func(err error) ([]*chunk, error) {
-		for _, c := range chunks {
-			c.releaseScratch()
-		}
-		return nil, err
-	}
-
+// decode runs pass 1, trims past the member end, verifies continuity
+// and runs pass 2a over the planned chunks.
+func (seg *segment) decode(payload []byte, ctx []byte, sequential bool, so segOpts) error {
 	// --- Pass 1: parallel decompression. The first chunk decodes
 	// exactly (its context is known); later chunks decode with symbolic
 	// contexts.
 	tP1 := time.Now()
-	if err := runPass1(payload, chunks, ctx, o.Sequential, tailOnly, so); err != nil {
-		return fail(err)
+	if err := runPass1(payload, seg.chunks, ctx, sequential, so); err != nil {
+		return err
 	}
-	seg.pass1Wall += time.Since(tP1)
+	seg.pass1Wall = time.Since(tP1)
 
 	// Trim chunks past the end of the member: when the input buffer
 	// extends beyond one DEFLATE stream (a multi-member gzip file, or
 	// trailing data), the chunk that reaches the stream's final block
 	// ends the member and later chunks — which synced into whatever
 	// follows — are discarded.
+	chunks := seg.chunks
 	lastPlanned := chunks[len(chunks)-1]
 	for i, c := range chunks {
 		if c.final {
 			for _, dropped := range chunks[i+1:] {
-				dropped.releaseScratch()
+				dropped.release()
 			}
 			chunks = chunks[:i+1]
 			seg.final = true
 			break
 		}
 	}
+	seg.chunks = chunks
 	if !seg.final && lastPlanned.last {
 		// The segment was unbounded on the right (planned to run to the
 		// stream's final block) yet never reached one: truncated input.
-		return fail(ErrNoFinalBlock)
+		return ErrNoFinalBlock
 	}
 	// Continuity check: every chunk must stop exactly where its
 	// successor starts. Stored blocks make the start bit ambiguous
@@ -274,38 +190,72 @@ func (seg *segment) runPasses(payload []byte, chunks []*chunk, ctx []byte, o Opt
 			continue
 		}
 		if err := verifyEquivalentStart(payload, chunks[i].endBit, chunks[i+1]); err != nil {
-			return fail(fmt.Errorf(
+			return fmt.Errorf(
 				"core: chunk %d ended at bit %d but chunk %d starts at bit %d: %w",
-				i, chunks[i].endBit, i+1, chunks[i+1].startBit, err))
+				i, chunks[i].endBit, i+1, chunks[i+1].startBit, err)
 		}
 	}
-	return chunks, nil
+	seg.endBit = chunks[len(chunks)-1].endBit
+	for _, c := range chunks {
+		c.out = seg.outLen
+		seg.outLen += c.outN
+	}
+
+	// --- Pass 2a (sequential): propagate resolved windows,
+	// w_{i+1} = resolve(tail(D_i), w_i) (Figure 3). Every window in the
+	// chain is the segment's own, ctx included (copied, or zeroed at the
+	// stream's true start). Measured chunks feed the chain just as well
+	// as full ones: a plain tail chunk carries its resolved final window
+	// outright, and a symbolic tail chunk's trailing symbols are exactly
+	// what ResolveWindowInto consumes.
+	tSeq := time.Now()
+	seg.window = tracked.GetWindow()
+	if ctx != nil {
+		copy(seg.window, ctx)
+	}
+	for _, c := range chunks {
+		c.ctx, seg.window = seg.window, tracked.GetWindow()
+		switch {
+		case c.plainTail != nil:
+			copy(seg.window, c.plainTail)
+		case c.plain != nil:
+			shiftWindow(seg.window, c.ctx, c.plain)
+		default:
+			if err := tracked.ResolveWindowInto(seg.window, c.sym, c.ctx); err != nil {
+				return err
+			}
+		}
+	}
+	seg.pass2SeqWall = time.Since(tSeq)
+	return nil
 }
 
-// collectSpans flattens the per-chunk block spans into one in-order
-// segment span list: output offsets become segment-relative, and the
-// first span of each non-first chunk is pinned to its predecessor's
-// exact stop bit. That pinning matters for byte-identical indexes: a
-// stored block's byte-alignment padding makes the candidate start bit
-// ambiguous (continuity already verified the decodes are equivalent),
-// and a sequential decode — the reference an index is compared against
-// — always reports the predecessor's stop position.
-func collectSpans(seg *segment) {
-	n := 0
-	for _, c := range seg.chunks {
-		n += len(c.spans)
-	}
-	seg.spans = make([]flate.BlockSpan, 0, n)
-	for i, c := range seg.chunks {
-		for j, s := range c.spans {
-			s.OutStart += c.out
-			s.OutEnd += c.out
-			if j == 0 && i > 0 {
-				s.Event.StartBit = seg.chunks[i-1].endBit
-			}
-			seg.spans = append(seg.spans, s)
+// translate runs pass 2b: every chunk copies or resolves its pass-1
+// output into its slot of a freshly allocated segment buffer, in
+// parallel. Only a segment decoded with full sinks can translate.
+func (seg *segment) translate(sequential bool) error {
+	tPar := time.Now()
+	out := make([]byte, seg.outLen)
+	errs := make([]error, len(seg.chunks))
+	forEachChunk(sequential, 0, len(seg.chunks), func(i int) {
+		c := seg.chunks[i]
+		t := time.Now()
+		switch {
+		case c.plain != nil:
+			copy(out[c.out:], c.plain)
+		case int64(len(c.sym)) != c.outN:
+			errs[i] = errors.New("core: internal: translating a measured chunk")
+		default:
+			_, errs[i] = tracked.Resolve(c.sym, c.ctx, out[c.out:c.out+c.outN])
 		}
+		c.m.Pass2 = time.Since(t)
+	})
+	seg.pass2ParWall = time.Since(tPar)
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
+	seg.out = out
+	return nil
 }
 
 // planSegment finds the chunk block starts for the segment beginning at
@@ -427,22 +377,20 @@ func forEachChunk(sequential bool, lo, hi int, fn func(int)) {
 // runPass1 decompresses all chunks. The first chunk's initial context
 // is known — ctx when mid-stream, empty at the true stream start — so
 // it decodes exactly into bytes; the rest decode with fully
-// undetermined symbolic contexts. In tailOnly mode every chunk keeps
-// only its output count and trailing window (skip-mode pass 1), and
-// when the segment harvests exact checkpoints the first chunk — then
-// the only one — snapshots the checkpoint windows as it decodes.
-func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential, tailOnly bool, so segOpts) error {
+// undetermined symbolic contexts. A measured segment decodes every
+// chunk through the tail sinks.
+func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, so segOpts) error {
 	errs := make([]error, len(chunks))
 	forEachChunk(sequential, 0, len(chunks), func(i int) {
 		c := chunks[i]
 		t := time.Now()
 		switch {
-		case i == 0 && tailOnly:
+		case i > 0:
+			errs[i] = c.decodeTracked(payload, so.measure)
+		case so.measure:
 			errs[i] = c.decodePlainTail(payload, ctx, so)
-		case i == 0:
-			errs[i] = c.decodePlain(payload, ctx, so.recordSpans)
 		default:
-			errs[i] = c.decodeTracked(payload, tailOnly)
+			errs[i] = c.decodePlain(payload, ctx)
 		}
 		c.m.Pass1 = time.Since(t)
 		c.m.EndBit = c.endBit
@@ -455,16 +403,16 @@ func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential, tailOnly 
 // the start are rejected, as in a normal gunzip); otherwise the sink is
 // seeded with the 32 KiB window so mid-stream references resolve to
 // real bytes immediately — no symbolic detour, no pass-2 translation.
-func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error {
+// Its blocks are recorded: they are a translated segment's checkpoint
+// candidates.
+func (c *chunk) decodePlain(payload []byte, ctx []byte) error {
 	r, err := bitio.NewReaderAt(payload, c.startBit)
 	if err != nil {
 		return err
 	}
 	sink := &flate.ByteSink{Out: getPlainBuf()}
 	sink.StopBit = c.stopBit
-	if recordSpans {
-		sink.RecordBlocks()
-	}
+	sink.RecordBlocks()
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
 	if ctx == nil {
@@ -481,7 +429,7 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 	c.plain = sink.Output()
 	if c.plain == nil {
 		// Keep the empty-output case classified as a plain chunk:
-		// layout and pass 2 distinguish plain from symbolic chunks by
+		// pass 2 distinguishes plain from symbolic chunks by
 		// plain != nil (an empty first chunk happens when an empty
 		// member precedes further members in one buffer).
 		c.plain = []byte{}
@@ -493,11 +441,11 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 	return nil
 }
 
-// decodePlainTail is decodePlain for skip mode: same exact decode (the
-// initial context is known), but only the output count and the
-// resolved final window are kept — O(WindowSize) memory no matter how
-// large the chunk's output is — plus, for exact checkpoints, the
-// windows of the spacing walk, snapshotted as the decode passes them.
+// decodePlainTail is decodePlain through the tail sink: same exact
+// decode (the initial context is known), but only the output count and
+// the resolved final window are kept — O(WindowSize) memory no matter
+// how large the chunk's output is — plus, when so.every > 0, the
+// windows of the capture walk, snapshotted as the decode passes them.
 func (c *chunk) decodePlainTail(payload []byte, ctx []byte, so segOpts) error {
 	r, err := bitio.NewReaderAt(payload, c.startBit)
 	if err != nil {
@@ -506,8 +454,8 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, so segOpts) error {
 	sink := flate.NewTailSink(ctx)
 	defer sink.Release()
 	sink.StopBit = c.stopBit
-	if so.cpExact {
-		sink.CaptureEvery(so.startsFrom, so.cpSpacing)
+	if so.every > 0 {
+		sink.CaptureEvery(so.from, so.every)
 	}
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
@@ -519,22 +467,22 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, so segOpts) error {
 	}
 	c.plainTail = tracked.GetWindow()
 	sink.WindowInto(c.plainTail)
-	c.tailed = true
-	c.capWins = sink.Captured()
-	c.capOuts, c.capBits = sink.WalkMarks()
+	outs, bits := sink.WalkMarks()
+	for k, win := range sink.Captured() {
+		c.caps = append(c.caps, Checkpoint{Bit: bits[k], Out: outs[k], Window: win})
+	}
 	c.endBit = sink.EndBit(r)
 	c.outN = sink.Len()
 	c.m.OutBytes = c.outN
 	return nil
 }
 
-func (c *chunk) decodeTracked(payload []byte, tailOnly bool) error {
+func (c *chunk) decodeTracked(payload []byte, measure bool) error {
 	opts := tracked.DecodeOptions{StopBit: c.stopBit, RecordSpans: true}
 	var res *tracked.Result
 	var err error
-	if tailOnly {
+	if measure {
 		res, err = tracked.DecodeTailFrom(payload, c.startBit, opts)
-		c.tailed = true
 	} else {
 		res, err = tracked.DecodeFrom(payload, c.startBit, opts)
 	}
@@ -546,9 +494,6 @@ func (c *chunk) decodeTracked(payload []byte, tailOnly bool) error {
 	c.endBit = res.EndBit
 	c.final = res.Final
 	c.spans = res.Spans
-	if len(res.Spans) > 0 {
-		c.firstSpan = &res.Spans[0]
-	}
 	c.outN = res.OutLen
 	c.m.OutBytes = c.outN
 	// In tail mode only the trailing window survives, so this counts
@@ -564,16 +509,16 @@ func (c *chunk) decodeTracked(payload []byte, tailOnly bool) error {
 // When all four agree the two decode paths consumed the same token
 // stream and the outputs concatenate exactly.
 func verifyEquivalentStart(payload []byte, trueBit int64, next *chunk) error {
-	if next.firstSpan == nil {
+	if len(next.spans) == 0 {
 		return errors.New("successor chunk decoded no blocks")
 	}
-	got := next.firstSpan
+	got := next.spans[0]
 	r, err := bitio.NewReaderAt(payload, trueBit)
 	if err != nil {
 		return err
 	}
 	var probe probeSink
-	dec := flate.NewDecoder(flate.Options{})
+	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
 	if _, err := dec.DecodeBlock(r, &probe); err != nil {
 		return fmt.Errorf("probe decode at bit %d: %w", trueBit, err)
@@ -602,148 +547,6 @@ func (p *probeSink) BlockStart(ev flate.BlockEvent) error { p.ev = ev; return ni
 func (p *probeSink) Literal(byte) error                   { p.bytes++; return nil }
 func (p *probeSink) Match(l, _ int) error                 { p.bytes += int64(l); return nil }
 func (p *probeSink) BlockEnd(nextBit int64) error         { p.endBit = nextBit; return nil }
-
-// resolveSegment runs pass 2 over a segment: the cheap sequential sweep
-// propagates each chunk's resolved final 32 KiB window to its successor
-// (w_{i+1} = resolve(tail(D_i), w_i), Figure 3), then every chunk
-// translates its output into its slot of the segment buffer in
-// parallel. ctx is the resolved window preceding the segment (nil =
-// zeros at the true stream start). On return the pass-1 scratch (plain
-// buffers, symbolic buffers, per-chunk windows) is back in the pools.
-//
-// When so.skipBelow marks the segment as skippable and its entire
-// output lies below that bound, the parallel translation (pass 2b) and
-// the output allocation are elided: seg.out stays nil and only
-// seg.outLen and the propagated windows survive — the two-pass skip
-// that makes deep seeks cheap.
-func resolveSegment(seg *segment, ctx []byte, sequential bool, so segOpts) error {
-	chunks := seg.chunks
-
-	// Layout: prefix sums of chunk output sizes.
-	var total int64
-	for _, c := range chunks {
-		c.out = total
-		total += c.outLen()
-	}
-	seg.outLen = total
-	translate := so.skipBelow <= 0 || total > so.skipBelow
-	var out []byte
-	if translate {
-		out = make([]byte, total)
-	}
-
-	// Pass 2a (sequential): propagate resolved windows. Every window in
-	// the chain is pooled except the caller's own ctx; the final one is
-	// handed to the caller as seg.window. Tail-only chunks feed the
-	// chain just as well as full ones: a plain tail chunk carries its
-	// resolved final window outright, and a symbolic tail chunk's
-	// trailing symbols are exactly what ResolveWindowInto consumes.
-	releaseChain := func() {
-		for _, c := range chunks {
-			if len(ctx) == 0 || len(c.ctx) == 0 || &c.ctx[0] != &ctx[0] {
-				tracked.PutWindow(c.ctx)
-			}
-			c.ctx = nil
-		}
-	}
-	tSeq := time.Now()
-	w := ctx
-	if w == nil {
-		w = tracked.GetWindow() // zeroed: the stream's true start
-	}
-	for _, c := range chunks {
-		c.ctx = w
-		next := tracked.GetWindow()
-		var err error
-		switch {
-		case c.plainTail != nil:
-			copy(next, c.plainTail)
-		case c.plain != nil:
-			shiftWindow(next, w, c.plain)
-		default:
-			err = tracked.ResolveWindowInto(next, c.sym, w)
-		}
-		if err != nil {
-			tracked.PutWindow(next)
-			releaseChain()
-			return err
-		}
-		w = next
-	}
-	seg.pass2SeqWall = time.Since(tSeq)
-
-	fail := func(err error) error {
-		releaseChain()
-		for _, c := range chunks {
-			c.releaseScratch()
-		}
-		tracked.PutWindow(w)
-		return err
-	}
-
-	// Skipped segments harvest restart points while the chain's windows
-	// are still alive: spacing-exact block boundaries when the caller
-	// needs the zran contract (index builds; the segment's one exact
-	// chunk captured them as it decoded), otherwise the free chunk-start
-	// checkpoints (each chunk's start bit is a confirmed block boundary
-	// and c.ctx the resolved 32 KiB preceding it).
-	if !translate {
-		switch {
-		case so.cpExact:
-			c := chunks[0]
-			if len(chunks) != 1 || !c.tailed {
-				return fail(errors.New("core: internal: exact checkpoints need one tail-decoded chunk"))
-			}
-			for k, win := range c.capWins {
-				seg.starts = append(seg.starts, Checkpoint{Bit: c.capBits[k], Out: c.capOuts[k], Window: win})
-			}
-		case so.chunkStarts:
-			for _, c := range chunks {
-				if c.out < so.startsFrom {
-					continue
-				}
-				win := make([]byte, tracked.WindowSize)
-				copy(win, c.ctx)
-				seg.starts = append(seg.starts, Checkpoint{Bit: c.startBit, Out: c.out, Window: win})
-			}
-		}
-	}
-
-	// Pass 2b (parallel): translate every chunk into place.
-	if translate {
-		tPar := time.Now()
-		errs := make([]error, len(chunks))
-		forEachChunk(sequential, 0, len(chunks), func(i int) {
-			c := chunks[i]
-			t := time.Now()
-			switch {
-			case c.tailed:
-				// decodeSegment re-runs pass 1 in full before translating
-				// a tail segment; reaching here is an engine bug.
-				errs[i] = errors.New("core: internal: translating a tail-only chunk")
-			case c.plain != nil:
-				copy(out[c.out:], c.plain)
-			default:
-				dst := out[c.out : c.out+int64(len(c.sym))]
-				if _, err := tracked.Resolve(c.sym, c.ctx, dst); err != nil {
-					errs[i] = err
-				}
-			}
-			c.m.Pass2 = time.Since(t)
-		})
-		seg.pass2ParWall = time.Since(tPar)
-		if err := errors.Join(errs...); err != nil {
-			return fail(err)
-		}
-	}
-	releaseChain()
-	for _, c := range chunks {
-		c.releaseScratch()
-	}
-	seg.out = out
-	seg.window = w
-	return nil
-}
 
 // shiftWindow fills dst with the 32 KiB window that follows producing
 // tail after window prev: the last WindowSize bytes of prev ++ tail.

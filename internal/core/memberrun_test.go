@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
+	"fmt"
 	"testing"
 
 	"repro/internal/tracked"
@@ -197,6 +199,80 @@ func TestRunMemberResumeFromCheckpoint(t *testing.T) {
 		}
 		if !bytes.Equal(out, data[cp.Out:]) {
 			t.Fatalf("%s: resumed tail mismatch from out %d", name, cp.Out)
+		}
+	}
+}
+
+// TestRunMemberSkipOvershoot: a batch the expansion estimate judges
+// clearly below the skip target is measured through the tail sinks,
+// which keep too little to translate. When the data turns far more
+// compressible than the member so far (~2 MiB of FASTQ, then 4 MiB of
+// one byte that deflates ~1000x), one 64 KiB batch jumps past the
+// target; it must be decoded again in full and translated, so the bytes
+// from SkipTo on, the member size and the checkpoint windows stay
+// exact. Exact runs measure every skipped batch and take the same path.
+func TestRunMemberSkipOvershoot(t *testing.T) {
+	text := corpusFastq(8000, 47)
+	data := append(bytes.Clone(text), bytes.Repeat([]byte{'A'}, 4<<20)...)
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+	const spacing = 256 << 10
+	for _, threads := range []int{1, 2} {
+		for _, skip := range []int64{int64(len(text)) + 2<<20, int64(len(data)) - 1000} {
+			for _, exact := range []bool{false, true} {
+				name := fmt.Sprintf("threads %d skip %d exact %v", threads, skip, exact)
+				p := NewPipeline(bytes.NewReader(payload), PipelineOptions{
+					Threads:              threads,
+					BatchCompressedBytes: 64 << 10,
+					MinChunk:             8 << 10,
+				})
+				var out []byte
+				var cps []Checkpoint
+				res, err := p.RunMemberOpts(MemberRun{
+					Emit:              func(b []byte) error { out = append(out, b...); return nil },
+					SkipTo:            skip,
+					CheckpointSpacing: spacing,
+					ExactCheckpoints:  exact,
+					OnCheckpoint:      func(cp Checkpoint) error { cps = append(cps, cp); return nil },
+				})
+				p.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Out != int64(len(data)) {
+					t.Fatalf("%s: member out %d, want %d", name, res.Out, len(data))
+				}
+				if !bytes.Equal(out, data[skip:]) {
+					t.Fatalf("%s: emitted %d bytes, want %d (mismatch)", name, len(out), len(data)-int(skip))
+				}
+				if len(cps) < 4 {
+					t.Fatalf("%s: only %d checkpoints", name, len(cps))
+				}
+				for i, cp := range cps {
+					if i > 0 && cp.Out-cps[i-1].Out < spacing {
+						t.Fatalf("%s: checkpoints %d and %d only %d bytes apart", name, i-1, i, cp.Out-cps[i-1].Out)
+					}
+					want := make([]byte, tracked.WindowSize)
+					if cp.Out >= tracked.WindowSize {
+						copy(want, data[cp.Out-tracked.WindowSize:cp.Out])
+					} else {
+						copy(want[tracked.WindowSize-cp.Out:], data[:cp.Out])
+					}
+					if !bytes.Equal(cp.Window, want) {
+						t.Fatalf("%s: checkpoint %d (out %d): window mismatch", name, i, cp.Out)
+					}
+				}
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/srcbuf"
 	"repro/internal/tracked"
@@ -164,7 +163,10 @@ type MemberRun struct {
 	// emitted, and batches that lie entirely below it skip pass-2
 	// translation — the parallel two-pass skip (workers still locate
 	// block boundaries, decode symbolically, and propagate context
-	// windows, so everything from SkipTo onward is exact).
+	// windows, so everything from SkipTo onward is exact). A batch
+	// clearly below it is measured through the tail sinks, O(32 KiB) per
+	// chunk; a measured batch that reaches SkipTo after all is decoded
+	// again in full.
 	SkipTo int64
 
 	// CheckpointSpacing, with OnCheckpoint set, emits restart points at
@@ -218,7 +220,7 @@ func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
 	if run.Context != nil {
 		copy(ctx, run.Context)
 	}
-	defer func() { tracked.PutWindow(ctx) }()
+	defer tracked.PutWindow(ctx)
 	startBit := run.StartBit
 	if startBit <= 0 {
 		startBit = p.win.Base() * 8
@@ -233,63 +235,60 @@ func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
 	nextCpAt := run.OutBase // first candidate boundary checkpoints immediately
 	firstBit := startBit
 	for {
-		so := segOpts{recordSpans: checkpointing, startsFrom: nextCpAt - memberOut}
-		if checkpointing {
-			if exact {
-				so.cpExact, so.cpSpacing = true, run.CheckpointSpacing
-			} else {
-				so.chunkStarts = true
-			}
-		}
-		if run.SkipTo > memberOut {
-			so.skipBelow = run.SkipTo - memberOut
-			// Batches below the skip target can decode through the
-			// tail-only sinks: O(WindowSize) per chunk instead of the
-			// full output. A tail batch that turns out to reach the
-			// target pays a full re-decode, so engage tail mode only
-			// when the batch is clearly skippable: against DEFLATE's
-			// ~1032x worst-case expansion before any of this member has
-			// decoded (which still always selects measuring passes and
-			// index builds, whose skip target is effectively infinite),
-			// and against twice the member's observed expansion after.
+		// Measure (tail sinks, no output) a batch that clearly lies below
+		// the skip target: against DEFLATE's ~1032x worst-case expansion
+		// before any of this member has decoded (which still always
+		// selects measuring passes and index builds, whose skip target is
+		// effectively infinite), and against twice the member's observed
+		// expansion after. Exact checkpoints of a skipped batch come only
+		// from the tail sink's capture walk, so an exact run measures
+		// every skipped batch.
+		target := run.SkipTo - memberOut // > 0 while skipping
+		var so segOpts
+		if target > 0 {
 			est := int64(p.batchBytes) * 1032
 			if consumed := (startBit - firstBit) / 8; consumed > 0 && memberOut > run.OutBase {
 				ratio := (memberOut - run.OutBase + consumed - 1) / consumed
 				est = int64(p.batchBytes) * (ratio + 1) * 2
 			}
-			// Exact checkpoints of a skipped batch come only from the
-			// tail sink's capture walk.
-			so.tailOnly = so.skipBelow > est || exact
+			so.measure = target > est || exact
+			if exact {
+				so.from, so.every = nextCpAt-memberOut, run.CheckpointSpacing
+			}
 		}
 		seg, err := p.decodeNext(startBit, ctx, o, so)
+		if err == nil && so.measure && seg.outLen > target {
+			// The batch reaches the target after all, and its tail sinks
+			// kept too little to translate: decode it again in full. Only
+			// the one batch straddling the target pays this.
+			seg.release()
+			so = segOpts{}
+			seg, err = p.decodeNext(startBit, ctx, o, so)
+		}
 		if err != nil {
 			return MemberResult{}, err
 		}
-		// Checkpoints are emitted against the pre-segment context (their
-		// windows may need its tail), before it is swapped forward.
-		winBase := p.win.Base()
-		if checkpointing {
-			if err := emitCheckpoints(run.OnCheckpoint, run.CheckpointSpacing, &nextCpAt,
-				seg, ctx, memberOut, winBase); err != nil {
-				seg.release()
-				return MemberResult{}, err
-			}
+		// Translate only a batch that reaches the target; one decoded in
+		// full below it (the estimate was unsure) is measured all the same.
+		if seg.outLen > target {
+			err = seg.translate(o.Sequential)
 		}
-		if seg.out != nil {
-			b := seg.out
-			if from := run.SkipTo - memberOut; from > 0 {
-				b = b[from:]
-			}
-			if err := run.Emit(b); err != nil {
-				seg.release()
-				return MemberResult{}, err
-			}
+		winBase := p.win.Base()
+		if err == nil && checkpointing {
+			err = emitCheckpoints(run.OnCheckpoint, run.CheckpointSpacing, &nextCpAt,
+				seg, so.every > 0, memberOut, winBase)
+		}
+		copy(ctx, seg.window)
+		seg.release()
+		if err == nil && seg.out != nil {
+			err = run.Emit(seg.out[max(target, 0):])
+		}
+		if err != nil {
+			return MemberResult{}, err
 		}
 		p.batches.Add(1)
 		p.outBytes.Add(seg.outLen)
 		memberOut += seg.outLen
-		tracked.PutWindow(ctx)
-		ctx = seg.window
 		endAbs := winBase*8 + seg.endBit
 		p.win.DiscardTo(endAbs / 8)
 		startBit = endAbs
@@ -299,46 +298,68 @@ func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
 	}
 }
 
-// emitCheckpoints walks one decoded segment's restart-point candidates
-// — every block boundary when the segment was translated, the chunk
-// starts when it was skipped — and emits those at or past *nextAt,
-// advancing it by spacing each time. ctx is the resolved window
-// preceding the segment, memberOut the member-relative offset of its
-// first output byte, winBase the source byte offset of the payload
-// window the segment's bit offsets are relative to.
+// emitCheckpoints is the one place a decoded segment becomes restart
+// points. Its candidates are every block boundary of a translated
+// segment, the capture walk's snapshots of a measured exact one
+// (captured), and otherwise the chunk starts, each a confirmed block
+// boundary whose resolved window pass 2a left in c.ctx. Those at or past
+// *nextAt are emitted, advancing it by spacing each time. memberOut is
+// the member-relative offset of the segment's first output byte, winBase
+// the source byte offset of the payload window the segment's bit offsets
+// are relative to.
 func emitCheckpoints(fn func(Checkpoint) error, spacing int64, nextAt *int64,
-	seg *segment, ctx []byte, memberOut, winBase int64) error {
+	seg *segment, captured bool, memberOut, winBase int64) error {
+	due := func(segRel int64) bool { return memberOut+segRel >= *nextAt }
 	emit := func(bit, segRel int64, win []byte) error {
 		out := memberOut + segRel
-		if out < *nextAt {
-			return nil
-		}
-		if win == nil {
-			win = make([]byte, tracked.WindowSize)
-			if segRel >= tracked.WindowSize {
-				copy(win, seg.out[segRel-tracked.WindowSize:segRel])
-			} else {
-				copy(win, ctx[segRel:])
-				copy(win[tracked.WindowSize-segRel:], seg.out[:segRel])
-			}
-		}
-		if err := fn(Checkpoint{Bit: winBase*8 + bit, Out: out, Window: win}); err != nil {
-			return err
-		}
 		*nextAt = out + spacing
-		return nil
+		return fn(Checkpoint{Bit: winBase*8 + bit, Out: out, Window: win})
 	}
-	if seg.out != nil {
-		for _, s := range seg.spans {
-			if err := emit(s.Event.StartBit, s.OutStart, nil); err != nil {
-				return err
+	switch {
+	case seg.out != nil:
+		ctx := seg.chunks[0].ctx
+		for i, c := range seg.chunks {
+			for j, s := range c.spans {
+				at := c.out + s.OutStart
+				if !due(at) {
+					continue
+				}
+				win := make([]byte, tracked.WindowSize)
+				if at >= tracked.WindowSize {
+					copy(win, seg.out[at-tracked.WindowSize:at])
+				} else {
+					copy(win, ctx[at:])
+					copy(win[tracked.WindowSize-at:], seg.out[:at])
+				}
+				// A stored block's byte-alignment padding makes a chunk's
+				// candidate start bit ambiguous (continuity verified the
+				// decodes equivalent). A sequential decode, the reference
+				// an index is compared against, reports the predecessor's
+				// stop bit, so pin it for byte-identical indexes.
+				bit := s.Event.StartBit
+				if j == 0 && i > 0 {
+					bit = seg.chunks[i-1].endBit
+				}
+				if err := emit(bit, at, win); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
-	}
-	for _, cp := range seg.starts {
-		if err := emit(cp.Bit, cp.Out, cp.Window); err != nil {
-			return err
+	case captured:
+		for _, cp := range seg.chunks[0].caps {
+			if due(cp.Out) {
+				if err := emit(cp.Bit, cp.Out, cp.Window); err != nil {
+					return err
+				}
+			}
+		}
+	default:
+		for _, c := range seg.chunks {
+			if due(c.out) {
+				if err := emit(c.startBit, c.out, bytes.Clone(c.ctx)); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
@@ -383,67 +404,4 @@ func (p *Pipeline) decodeNext(startBit int64, ctx []byte, o Options, so segOpts)
 			need = p.maxWindow
 		}
 	}
-}
-
-// StreamOptions configures bounded-memory streaming decompression of an
-// in-memory payload (the slice-based veneer over Pipeline).
-//
-// Section VIII of the paper notes that pugz "requires the whole
-// decompressed file to reside in memory, yet further engineering
-// efforts could lift this limitation with little projected impact on
-// performance". This is that engineering effort: the payload is
-// processed in batches of Threads chunks; each batch is decompressed
-// in parallel with symbolic contexts, resolved against the window
-// carried from the previous batch, emitted, and freed. Peak memory is
-// O(BatchBytes x expansion) instead of O(file).
-type StreamOptions struct {
-	// Threads is the number of parallel chunks per batch.
-	Threads int
-	// BatchCompressedBytes is the compressed size of one batch
-	// (default 4 MiB x Threads, min 64 KiB).
-	BatchCompressedBytes int
-	// MinChunk, Confirmations, ValidByte, Sequential: as in Options.
-	MinChunk      int
-	Confirmations int
-	ValidByte     func(byte) bool
-	Sequential    bool
-}
-
-// StreamResult reports a finished streaming run.
-type StreamResult struct {
-	Batches       int
-	OutBytes      int64
-	PayloadEndBit int64
-	Wall          time.Duration
-}
-
-// DecompressStream decompresses a raw DEFLATE stream held in memory in
-// bounded batches, invoking emit with consecutive decompressed slices.
-// The concatenation of all emitted slices is byte-identical to a
-// sequential decode. It is Pipeline over a bytes-like reader; use
-// NewPipeline directly for true io.Reader sources.
-func DecompressStream(payload []byte, o StreamOptions, emit func([]byte) error) (*StreamResult, error) {
-	t0 := time.Now()
-	p := NewPipeline(bytes.NewReader(payload), PipelineOptions{
-		Threads:              o.Threads,
-		BatchCompressedBytes: o.BatchCompressedBytes,
-		MinChunk:             o.MinChunk,
-		Confirmations:        o.Confirmations,
-		ValidByte:            o.ValidByte,
-		Sequential:           o.Sequential,
-		// The payload is already materialized; let the window cover it
-		// all so no batch is refused for a block larger than the cap.
-		MaxWindowBytes: len(payload) + 1,
-	})
-	defer p.Close()
-	endBit, err := p.RunMember(emit)
-	if err != nil {
-		return nil, fmt.Errorf("core: stream batch %d: %w", p.BatchCount(), err)
-	}
-	return &StreamResult{
-		Batches:       p.BatchCount(),
-		OutBytes:      p.OutBytes(),
-		PayloadEndBit: endBit,
-		Wall:          time.Since(t0),
-	}, nil
 }

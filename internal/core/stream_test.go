@@ -7,12 +7,31 @@ import (
 	"repro/internal/dna"
 )
 
+// streamResult reports one streamPayload run.
+type streamResult struct {
+	batches  int
+	outBytes int64
+	endBit   int64
+}
+
+// streamPayload decodes the raw DEFLATE stream payload as one member
+// through a Pipeline over a bytes reader, invoking emit with each
+// batch. The window may cover the whole payload, so no batch is refused
+// for a block larger than the cap.
+func streamPayload(payload []byte, o PipelineOptions, emit func([]byte) error) (streamResult, error) {
+	o.MaxWindowBytes = len(payload) + 1
+	p := NewPipeline(bytes.NewReader(payload), o)
+	defer p.Close()
+	endBit, err := p.RunMember(emit)
+	return streamResult{p.BatchCount(), p.OutBytes(), endBit}, err
+}
+
 func TestStreamMatchesWholeFile(t *testing.T) {
 	data := corpusFastq(12000, 41)
 	for _, level := range []int{1, 6, 9} {
 		payload := corpusPayload(t, 12000, 41, level)
 		var got []byte
-		res, err := DecompressStream(payload, StreamOptions{
+		res, err := streamPayload(payload, PipelineOptions{
 			Threads:              4,
 			BatchCompressedBytes: 192 << 10,
 			MinChunk:             8 << 10,
@@ -26,19 +45,19 @@ func TestStreamMatchesWholeFile(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("level %d: mismatch (%d vs %d bytes)", level, len(got), len(data))
 		}
-		if res.Batches < 2 {
-			t.Fatalf("level %d: expected multiple batches, got %d", level, res.Batches)
+		if res.batches < 2 {
+			t.Fatalf("level %d: expected multiple batches, got %d", level, res.batches)
 		}
-		if res.OutBytes != int64(len(data)) {
-			t.Fatalf("level %d: OutBytes %d", level, res.OutBytes)
+		if res.outBytes != int64(len(data)) {
+			t.Fatalf("level %d: OutBytes %d", level, res.outBytes)
 		}
 		// The end bit must agree with the whole-file engine.
 		_, m, err := DecompressPayload(payload, Options{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.PayloadEndBit != m.PayloadEndBit {
-			t.Fatalf("level %d: end bit %d vs %d", level, res.PayloadEndBit, m.PayloadEndBit)
+		if res.endBit != m.PayloadEndBit {
+			t.Fatalf("level %d: end bit %d vs %d", level, res.endBit, m.PayloadEndBit)
 		}
 	}
 }
@@ -48,7 +67,7 @@ func TestStreamBatchesBoundMemory(t *testing.T) {
 	payload := mustCompress(t, data, 6)
 	maxBatch := 0
 	var got []byte
-	_, err := DecompressStream(payload, StreamOptions{
+	_, err := streamPayload(payload, PipelineOptions{
 		Threads:              3,
 		BatchCompressedBytes: 128 << 10,
 		MinChunk:             8 << 10,
@@ -77,7 +96,7 @@ func TestStreamEmitError(t *testing.T) {
 	data := dna.Random(500_000, 43)
 	payload := mustCompress(t, data, 6)
 	wantErr := bytes.ErrTooLarge // any sentinel
-	_, err := DecompressStream(payload, StreamOptions{
+	_, err := streamPayload(payload, PipelineOptions{
 		Threads:              2,
 		BatchCompressedBytes: 64 << 10,
 		MinChunk:             8 << 10,
@@ -92,7 +111,7 @@ func TestStreamEmitError(t *testing.T) {
 func TestStreamTruncated(t *testing.T) {
 	data := dna.Random(500_000, 44)
 	payload := mustCompress(t, data, 6)
-	_, err := DecompressStream(payload[:len(payload)/2], StreamOptions{
+	_, err := streamPayload(payload[:len(payload)/2], PipelineOptions{
 		Threads:              2,
 		BatchCompressedBytes: 64 << 10,
 		MinChunk:             8 << 10,
@@ -106,7 +125,7 @@ func TestStreamSingleBatch(t *testing.T) {
 	data := dna.Random(100_000, 45)
 	payload := mustCompress(t, data, 6)
 	var got []byte
-	res, err := DecompressStream(payload, StreamOptions{
+	res, err := streamPayload(payload, PipelineOptions{
 		Threads:              4,
 		BatchCompressedBytes: 64 << 20, // whole file in one batch
 	}, func(p []byte) error {
@@ -116,8 +135,8 @@ func TestStreamSingleBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Batches != 1 {
-		t.Fatalf("batches %d", res.Batches)
+	if res.batches != 1 {
+		t.Fatalf("batches %d", res.batches)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("mismatch")
@@ -128,7 +147,7 @@ func TestStreamSequentialMode(t *testing.T) {
 	data := dna.Random(800_000, 46)
 	payload := mustCompress(t, data, 6)
 	var got []byte
-	_, err := DecompressStream(payload, StreamOptions{
+	_, err := streamPayload(payload, PipelineOptions{
 		Threads:              4,
 		BatchCompressedBytes: 128 << 10,
 		MinChunk:             8 << 10,

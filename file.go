@@ -18,11 +18,11 @@ import (
 
 // FileOptions configures a File.
 type FileOptions struct {
-	// Threads is the number of parallel chunks used by sequential-scan
+	// Threads is the number of spans in flight during sequential-scan
 	// reads (values < 1 select 1... runtime.NumCPU is a good choice).
 	Threads int
-	// BatchCompressedBytes is the compressed bytes consumed per batch
-	// during sequential-scan reads (default 4 MiB x Threads).
+	// BatchCompressedBytes bounds the compressed bytes in flight during
+	// sequential-scan reads (default 4 MiB x Threads; see StreamOptions).
 	BatchCompressedBytes int
 	// MinChunk is the minimum compressed bytes per chunk.
 	MinChunk int

@@ -214,9 +214,9 @@ func TestFileConcurrentSizeSingleflight(t *testing.T) {
 	wg.Wait()
 	// One measuring pass reads the compressed file once (plus pipeline
 	// read-ahead slack); eight independent passes could not fit this.
-	if src.read > 2*int64(len(gz)) {
+	if src.read.Load() > 2*int64(len(gz)) {
 		t.Fatalf("concurrent Size read %d compressed bytes (file is %d): measuring pass not shared",
-			src.read, len(gz))
+			src.read.Load(), len(gz))
 	}
 }
 

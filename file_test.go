@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	pugz "repro"
@@ -14,7 +15,7 @@ import (
 // assert that the windowed byte source does NOT load the whole file.
 type trackingReaderAt struct {
 	data []byte
-	read int64
+	read atomic.Int64 // io.ReaderAt allows parallel calls: cursors read ahead concurrently
 }
 
 func (t *trackingReaderAt) ReadAt(p []byte, off int64) (int, error) {
@@ -22,7 +23,7 @@ func (t *trackingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, t.data[off:])
-	t.read += int64(n)
+	t.read.Add(int64(n))
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -125,8 +126,8 @@ func TestFileReadAtIndexed(t *testing.T) {
 	// The checkpoint spacing bounds the decode to ~256 KiB of output,
 	// roughly its compressed extent of input; reading a large fraction
 	// of the compressed file would mean the index was not used.
-	if src.read > int64(len(gz))/2 {
-		t.Fatalf("indexed read loaded %d of %d compressed bytes", src.read, len(gz))
+	if src.read.Load() > int64(len(gz))/2 {
+		t.Fatalf("indexed read loaded %d of %d compressed bytes", src.read.Load(), len(gz))
 	}
 
 	// Size is known from the index without a decode pass.
@@ -270,8 +271,8 @@ func TestFileRandomAccessAt(t *testing.T) {
 	// A bounded read must load a bounded compressed extent: far less
 	// than the tail from the sync point to EOF (what "decode to the
 	// end" would need), let alone the whole file.
-	if tail := int64(len(gz)) - from; src.read >= tail {
-		t.Fatalf("random access loaded %d compressed bytes; naive tail read is %d", src.read, tail)
+	if tail := int64(len(gz)) - from; src.read.Load() >= tail {
+		t.Fatalf("random access loaded %d compressed bytes; naive tail read is %d", src.read.Load(), tail)
 	}
 }
 
@@ -304,7 +305,7 @@ func TestFileSpanAt(t *testing.T) {
 		if s2, e2, ok := f.SpanAt(end - 1); !ok || s2 != start || e2 != end {
 			t.Fatalf("SpanAt(%d) = [%d, %d), want [%d, %d)", end-1, s2, e2, start, end)
 		}
-		inflated, loaded := f.InflatedBytes(), src.read
+		inflated, loaded := f.InflatedBytes(), src.read.Load()
 		p := make([]byte, end-start)
 		if n, err := f.ReadAt(p, start); err != nil || n != len(p) {
 			t.Fatalf("ReadAt span [%d, %d): n=%d err=%v", start, end, n, err)
@@ -318,7 +319,7 @@ func TestFileSpanAt(t *testing.T) {
 		// A span of FASTQ at level 6 compresses about 4:1; one load of at
 		// most the span's own size is the exact compressed extent, where
 		// a guess-and-grow window would have read past it.
-		if got := src.read - loaded; got <= 0 || got > (end-start)/2 {
+		if got := src.read.Load() - loaded; got <= 0 || got > (end-start)/2 {
 			t.Fatalf("span [%d, %d) loaded %d compressed bytes", start, end, got)
 		}
 		off = end

@@ -21,6 +21,7 @@ package blockfind
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/flate"
@@ -54,7 +55,14 @@ type Finder struct {
 	Confirmations int
 	// Stats accumulate across calls for the E8 experiment.
 	Stats Stats
+	// Stop, when non-nil and set, ends a search between candidates with
+	// ErrStopped: a scheduler that no longer needs the block start
+	// abandons the probe without waiting for it to finish.
+	Stop *atomic.Bool
 }
+
+// ErrStopped is returned by a search whose Finder.Stop was set.
+var ErrStopped = errors.New("blockfind: search stopped")
 
 // Stats counts scanner work.
 type Stats struct {
@@ -103,6 +111,9 @@ func (f *Finder) NextBefore(data []byte, fromBit, limitBit int64) (int64, error)
 	}
 	var sink discard
 	for bit := fromBit; bit < limitBit; bit++ {
+		if f.Stop != nil && f.Stop.Load() {
+			return 0, ErrStopped
+		}
 		f.Stats.BitsTried++
 		if err := f.reader.Reset(bit); err != nil {
 			return 0, err

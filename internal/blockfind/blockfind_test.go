@@ -2,6 +2,7 @@ package blockfind
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/deflate"
@@ -125,5 +126,25 @@ func TestFinalBlockNeverFound(t *testing.T) {
 	f := New()
 	if bit, err := f.Next(payload, probe); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("expected ErrNotFound, got bit %d err %v", bit, err)
+	}
+}
+
+// TestStopEndsSearch: a set Stop flag ends a search before its next
+// candidate, so an abandoned probe costs at most one candidate more.
+func TestStopEndsSearch(t *testing.T) {
+	payload, starts := corpus(t, 6, 3000)
+	f := New()
+	var stop atomic.Bool
+	f.Stop = &stop
+	if bit, err := f.Next(payload, starts[0]+1); err != nil || bit != starts[1] {
+		t.Fatalf("unstopped search: bit %d err %v, want %d", bit, err, starts[1])
+	}
+	stop.Store(true)
+	tried := f.Stats.BitsTried
+	if _, err := f.Next(payload, starts[0]+1); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped search: err %v, want ErrStopped", err)
+	}
+	if f.Stats.BitsTried != tried {
+		t.Fatalf("stopped search tried %d candidates", f.Stats.BitsTried-tried)
 	}
 }

@@ -1,24 +1,28 @@
 // Package core implements pugz: exact two-pass parallel decompression
 // of a DEFLATE stream (Section VI-C and Figure 3 of the paper).
 //
-// The compressed payload is split into n roughly equal chunks. For
-// each chunk boundary a true block start is located by brute-force
-// bit scanning (internal/blockfind). Pass 1 decompresses every chunk
-// concurrently; chunks after the first start from a fully undetermined
-// 32 KiB context made of unique symbols (internal/tracked), so their
-// output is exact up to a per-chunk substitution of at most 32768
-// unknown bytes. Pass 2 resolves those unknowns: a cheap sequential
-// sweep propagates each chunk's final window to its successor, then
-// every chunk translates its symbolic output in parallel.
+// The compressed stream is cut into nominal spans. For each span a
+// true block start is located by brute-force bit scanning, bounded to
+// the span (internal/blockfind), and pass 1 decompresses from it with
+// a fully undetermined 32 KiB context made of unique symbols
+// (internal/tracked), so its output is exact up to a substitution of
+// at most 32768 unknown bytes. Pass 1 needs no context, so workers run
+// it on later spans while one in-order resolver finishes earlier ones:
+// it stitches each chunk to its predecessor, propagates the resolved
+// window into it (pass 2a) and translates its symbols (pass 2b). A
+// span whose context is already known — the member start, or a span
+// the resolver reaches before its sync has confirmed — is decoded
+// exactly instead, with no symbols at all.
 //
 // The result is bit-exact with sequential gunzip output, with no
 // heuristics and no assumptions about the file content beyond the
-// stringent text checks used for block detection.
+// stringent text checks used for block detection; a start that fails
+// to stitch costs an exact re-decode, not the call.
 //
-// Both entry points — whole-file (DecompressPayload) and bounded-memory
-// streaming (Pipeline) — run on one shared chunk decoder, decodeSegment
-// in engine.go; they differ only in how they frame segments and carry
-// context windows between them.
+// Both entry points — whole-file (DecompressPayload, over a resident
+// payload) and bounded-memory streaming (Pipeline, over a sliding
+// window with at most Threads spans in flight) — run on the one chunk
+// scheduler in sched.go.
 package core
 
 import (
@@ -29,9 +33,10 @@ import (
 
 // Options configures the engine.
 type Options struct {
-	// Threads is the number of parallel chunks (and goroutines) to
-	// use. Values < 1 mean 1. The effective number may be lower for
-	// small inputs.
+	// Threads is the number of spans the payload is cut into and the
+	// bound on spans in flight. Values < 1 mean 1; small inputs use
+	// fewer. At most min(Threads, GOMAXPROCS) goroutines decode at once,
+	// the resolver included.
 	Threads int
 	// MinChunk is the minimum compressed bytes per chunk; inputs are
 	// never split finer than this. Default 128 KiB.
@@ -41,19 +46,25 @@ type Options struct {
 	// ValidByte overrides the text-byte predicate used during block
 	// detection (nil = printable ASCII + \t\n\r).
 	ValidByte func(byte) bool
-	// Sequential executes the per-chunk work of every phase one chunk
-	// at a time instead of concurrently. Output is identical; the
-	// point is measurement: on a host with fewer cores than chunks,
-	// concurrent goroutines contend and their wall times say nothing
-	// about per-chunk cost. Sequential mode gives each chunk the whole
+	// Sequential runs every span's sync and pass 1 to completion, one
+	// at a time on the resolver's goroutine, and never takes a span
+	// over. Output is identical; the point is measurement: on a host
+	// with fewer cores than chunks, concurrent goroutines contend and
+	// their wall times say nothing about per-chunk cost. Sequential mode gives each chunk the whole
 	// machine, so ChunkMetrics are true isolated costs and
 	// Metrics.SimulatedMakespan models a machine with one free core
 	// per chunk (how Figure 5's scaling shape is reproduced here).
 	Sequential bool
 	// SizeHint is the expected output size (a gzip trailer's ISIZE).
-	// A one-chunk decode presizes its buffer with it; it is capacity
-	// only and never changes the bytes.
+	// The output buffer is presized with it; it is capacity only and
+	// never changes the bytes.
 	SizeHint int
+	// Extent is the member's declared compressed payload length (a BGZF
+	// header's BSIZE less framing), 0 when unknown. Spans are planned
+	// within it only, so a member no larger than MinChunk decodes as
+	// one exact chunk with no block sync. It is a planning hint: the
+	// decode always runs to the member's final block, wherever that is.
+	Extent int
 }
 
 const defaultMinChunk = 128 << 10
@@ -72,14 +83,19 @@ type ChunkMetrics struct {
 	Pass2             time.Duration
 }
 
-// Metrics aggregates a run.
+// Metrics aggregates a run. The phase durations are summed over chunks:
+// in a concurrent run the phases of different chunks overlap, so they
+// add up to more than TotalWall; in a Sequential run they do not.
 type Metrics struct {
 	Chunks       []ChunkMetrics
 	SyncWall     time.Duration // locating chunk block starts
 	Pass1Wall    time.Duration
-	Pass2SeqWall time.Duration // sequential window propagation
-	Pass2ParWall time.Duration // parallel translation
+	Pass2SeqWall time.Duration // window propagation (the resolver)
+	Pass2ParWall time.Duration // translation
 	TotalWall    time.Duration
+	// Work counts the sync offsets tried, the bytes decoded and the
+	// resolver's take-overs.
+	Work Work
 	// PayloadEndBit is the bit offset just past the final block: the
 	// gzip trailer begins at the next byte boundary.
 	PayloadEndBit int64
@@ -116,20 +132,24 @@ func (m *Metrics) SimulatedMakespan() time.Duration {
 
 // DecompressPayload decompresses a raw DEFLATE stream (no gzip
 // framing) in parallel and returns the output plus run metrics. It is
-// the whole-file framing of the shared segment engine: the entire
-// payload is one segment starting at bit 0 with no preceding context.
+// the resident framing of the chunk scheduler: the payload (or its
+// first Extent bytes) is cut into min(Threads, extent/MinChunk) spans,
+// at most all of them in flight, and the output is assembled in one
+// buffer: exact chunks decode straight into it and symbolic chunks
+// translate into their final position.
 func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 	t0 := time.Now()
 	metrics := &Metrics{}
 
-	n := o.Threads
+	extent := len(payload)
+	if o.Extent > 0 && o.Extent < extent {
+		extent = o.Extent
+	}
 	minChunk := o.MinChunk
 	if minChunk <= 0 {
 		minChunk = defaultMinChunk
 	}
-	if maxN := len(payload) / minChunk; n > maxN {
-		n = maxN
-	}
+	n := min(o.Threads, extent/minChunk)
 	if n <= 1 {
 		out, endBit, err := flate.DecompressSized(payload, o.SizeHint)
 		if err != nil {
@@ -140,25 +160,32 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 		metrics.Pass1Wall = m.Pass1
 		metrics.TotalWall = time.Since(t0)
 		metrics.PayloadEndBit = endBit
+		metrics.Work.Decoded = m.OutBytes
+		totalWork.add(metrics.Work)
 		return out, metrics, nil
 	}
 
-	seg, err := decodeSegment(payload, 0, int64(len(payload)), nil, o, segOpts{})
-	if err != nil {
+	r := &run{
+		o: o, src: &source{payload: payload}, span: int64(extent / n), n: n,
+		extEnd: int64(extent), resident: true,
+	}
+	if o.SizeHint > 0 {
+		r.whole = make([]byte, 0, o.SizeHint+4<<10)
+		r.ratio = float64(o.SizeHint) / float64(extent)
+	}
+	r.start(0, nil, 0)
+	if err := r.resolve(); err != nil {
 		return nil, nil, err
 	}
-	defer seg.release()
-	if err := seg.translate(o.Sequential); err != nil {
-		return nil, nil, err
+	metrics.Chunks = r.chunks
+	for _, c := range r.chunks {
+		metrics.SyncWall += c.Find
+		metrics.Pass1Wall += c.Pass1
 	}
-	for _, c := range seg.chunks {
-		metrics.Chunks = append(metrics.Chunks, c.m)
-	}
-	metrics.SyncWall = seg.syncWall
-	metrics.Pass1Wall = seg.pass1Wall
-	metrics.Pass2SeqWall = seg.pass2SeqWall
-	metrics.Pass2ParWall = seg.pass2ParWall
-	metrics.PayloadEndBit = seg.endBit
+	metrics.Pass2SeqWall = r.pass2Seq
+	metrics.Pass2ParWall = r.pass2Par
+	metrics.PayloadEndBit = r.bit
+	metrics.Work = r.work.load()
 	metrics.TotalWall = time.Since(t0)
-	return seg.out, metrics, nil
+	return r.whole, metrics, nil
 }

@@ -135,11 +135,14 @@ func TestChunkMetricsConsistent(t *testing.T) {
 // TestSymbolsGetResolved checks that mid-stream chunks actually start
 // undetermined and that pass 2 resolves everything (implicitly: output
 // equality above), and that at level 6 some symbols remain after pass
-// 1 — the situation that makes the second pass necessary.
+// 1 — the situation that makes the second pass necessary. Sequential
+// mode runs every span's pass 1: a concurrent run decodes exactly any
+// span the resolver reaches before its sync confirms, and runs no
+// worker at all with GOMAXPROCS 1.
 func TestSymbolsGetResolved(t *testing.T) {
 	data := fastq.Generate(fastq.GenOptions{Reads: 8000, Seed: 5})
 	payload := mustCompress(t, data, 6)
-	_, m, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 8 << 10})
+	_, m, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 8 << 10, Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}

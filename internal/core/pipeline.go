@@ -1,22 +1,22 @@
 package core
 
 import (
-	"bytes"
-	"errors"
-	"fmt"
 	"io"
 	"sync/atomic"
 
 	"repro/internal/srcbuf"
-	"repro/internal/tracked"
 )
 
 // PipelineOptions configures a streaming Pipeline.
 type PipelineOptions struct {
-	// Threads is the number of parallel chunks per batch.
+	// Threads is the number of spans in flight (and, clamped to
+	// GOMAXPROCS, of goroutines decoding at once, the resolver
+	// included).
 	Threads int
-	// BatchCompressedBytes is the compressed size of one batch
-	// (default 4 MiB x Threads, min 64 KiB).
+	// BatchCompressedBytes bounds the compressed bytes in flight: the
+	// spans being synced, decoded and resolved, each
+	// BatchCompressedBytes/Threads long (default 4 MiB x Threads, min
+	// 64 KiB).
 	BatchCompressedBytes int
 	// MinChunk, Confirmations, ValidByte, Sequential: as in Options.
 	MinChunk      int
@@ -31,25 +31,21 @@ type PipelineOptions struct {
 	// srcbuf.DefaultPrefetch).
 	Prefetch int
 	// MaxWindowBytes caps how far the compressed window may grow while
-	// retrying a failed batch (a block straddling the window end).
+	// retrying a chunk that would not decode (a block straddling the
+	// window end).
 	// Without a cap, a corrupt stream would buffer the entire remaining
 	// source before erroring. Default max(64 MiB, 4 x batch); always at
 	// least one batch plus slack.
 	MaxWindowBytes int
 }
 
-// batchSlack is how far past the nominal batch end the window is
-// pre-filled, so the block straddling the batch end (the batch stops at
-// the first block starting past it) is usually resident on the first
-// decode attempt.
-const batchSlack = 256 << 10
-
 // Pipeline decompresses raw DEFLATE streams pulled from an io.Reader
 // with bounded memory: a reader goroutine fills the compressed window
-// (srcbuf.Window), each batch is decoded by Threads workers with
-// symbolic contexts, and batches are resolved and emitted in order.
-// Peak memory is O(batch x threads + window), independent of the
-// source size.
+// (srcbuf.Window), the chunk scheduler keeps at most Threads spans of
+// it in flight — workers syncing and decoding later spans with
+// symbolic contexts while the resolver finishes earlier ones — and
+// chunks are emitted in order as soon as each is resolved. Peak memory
+// is O(batch + window), independent of the source size.
 //
 // A Pipeline processes one or more consecutive DEFLATE streams (gzip
 // members) from the same source: callers interleave their own framing
@@ -60,14 +56,22 @@ type Pipeline struct {
 	inner      Options
 	batchBytes int
 	maxWindow  int
+	n          int   // spans in flight
+	span       int64 // compressed bytes per span
 
 	batches  atomic.Int64
 	outBytes atomic.Int64
+	work     workCounter
 }
 
-// BatchCount returns the number of batches emitted so far, across all
+// BatchCount returns the number of chunks emitted so far, across all
 // RunMember calls. Safe from any goroutine.
 func (p *Pipeline) BatchCount() int { return int(p.batches.Load()) }
+
+// Work returns the sync offsets tried, bytes decoded and resolver
+// take-overs so far, across all RunMember calls. Safe from any
+// goroutine.
+func (p *Pipeline) Work() Work { return p.work.load() }
 
 // OutBytes returns the decompressed bytes decoded so far across all
 // RunMember calls — including skip-mode output that was measured but
@@ -108,11 +112,14 @@ func NewPipeline(r io.Reader, o PipelineOptions) *Pipeline {
 	if floor := batchBytes + batchSlack; maxWindow < floor {
 		maxWindow = floor
 	}
+	spans := max(min(n, batchBytes/inner.MinChunk), 1)
 	return &Pipeline{
 		win:        srcbuf.New(r, o.ReadSize, o.Prefetch),
 		inner:      inner,
 		batchBytes: batchBytes,
 		maxWindow:  maxWindow,
+		n:          spans,
+		span:       int64(batchBytes / spans),
 	}
 }
 
@@ -141,9 +148,12 @@ type Checkpoint struct {
 // Emit callback) decodes a member from the window's current position,
 // exactly like RunMember.
 type MemberRun struct {
-	// Emit receives consecutive decompressed batches (each a freshly
-	// allocated slice the callee may retain). Output below SkipTo is
-	// never delivered. Required.
+	// Emit receives consecutive decompressed chunks, in order, each as
+	// soon as it is resolved. Output below SkipTo is never delivered.
+	// Required. Each slice is the callee's: it may retain it, or, once
+	// done with it, hand it back to the scheduler's buffer pool with
+	// RecycleOutput — the Reader does, after copying a chunk out; every
+	// other caller retains (or drops) what it is given.
 	Emit func([]byte) error
 
 	// StartBit is the absolute source bit to start decoding at; <= 0
@@ -158,34 +168,39 @@ type MemberRun struct {
 	// OutBase is the member-relative decompressed offset at StartBit
 	// (non-zero only when resuming mid-member from a checkpoint).
 	OutBase int64
+	// Extent is the member's declared compressed payload length, in
+	// bytes from StartBit (a BGZF header's BSIZE less framing), 0 when
+	// unknown. No span is planned past it; it never cuts the decode,
+	// which always runs to the member's final block.
+	Extent int64
 
 	// SkipTo is a member-relative output offset: bytes below it are not
-	// emitted, and batches that lie entirely below it skip pass-2
+	// emitted, and chunks that lie entirely below it skip pass-2
 	// translation — the parallel two-pass skip (workers still locate
 	// block boundaries, decode symbolically, and propagate context
-	// windows, so everything from SkipTo onward is exact). A batch
+	// windows, so everything from SkipTo onward is exact). A span
 	// clearly below it is measured through the tail sinks, O(32 KiB) per
-	// chunk; a measured batch that reaches SkipTo after all is decoded
-	// again in full.
+	// chunk; a measured chunk that reaches SkipTo after all is decoded
+	// again, exactly and in full, from its resolved start.
 	SkipTo int64
 
 	// CheckpointSpacing, with OnCheckpoint set, emits restart points at
 	// least this many output bytes apart: every block boundary is a
-	// candidate in translated batches, chunk starts in skipped ones.
+	// candidate in translated chunks, chunk starts in skipped ones.
 	// OnCheckpoint runs on the pipeline's goroutine; an error aborts the
 	// run.
 	CheckpointSpacing int64
 	OnCheckpoint      func(Checkpoint) error
 
-	// ExactCheckpoints makes skipped (translation-free) batches emit
+	// ExactCheckpoints makes skipped (translation-free) chunks emit
 	// the same spacing-exact block-boundary checkpoints a translated
-	// batch would — the zran contract index builds rely on. The run is
-	// then zran's one sequential pass: every batch is a single exact
-	// chunk (no block sync, no symbolic decode) whose tail-only decode
-	// snapshots each selected window as it passes it; Threads still
-	// sizes the batch. Without it, skipped batches contribute
-	// chunk-start restart points only (cheap, and all the auto-index
-	// needs).
+	// chunk would — the zran contract index builds rely on. The run is
+	// then zran's one sequential pass: every chunk is an exact decode of
+	// a whole batch (no block sync, no symbolic decode, nothing
+	// speculated) whose tail-only decode snapshots each selected window
+	// as it passes it; Threads still sizes the batch. Without it,
+	// skipped chunks contribute chunk-start restart points only (cheap,
+	// and all the auto-index needs).
 	ExactCheckpoints bool
 }
 
@@ -201,8 +216,8 @@ type MemberResult struct {
 }
 
 // RunMember decodes one raw DEFLATE stream starting at the window's
-// current position, invoking emit with consecutive decompressed batches
-// (each a freshly allocated slice the callee may retain). It returns
+// current position, invoking emit with consecutive decompressed chunks
+// (each a slice the callee may retain). It returns
 // the absolute source bit offset just past the stream's final block and
 // leaves the window positioned at the byte containing that bit, so the
 // caller can resume framing at the following byte boundary.
@@ -214,194 +229,34 @@ func (p *Pipeline) RunMember(emit func([]byte) error) (int64, error) {
 // RunMemberOpts decodes one raw DEFLATE stream with the full option
 // surface: mid-member resume from a checkpoint, translation-free skip
 // up to a target offset, and checkpoint emission as a side-channel of
-// the decode.
-func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
-	ctx := tracked.GetWindow() // zeroed: the member's true start
-	if run.Context != nil {
-		copy(ctx, run.Context)
-	}
-	defer tracked.PutWindow(ctx)
-	startBit := run.StartBit
+// the decode. It returns only after every task it started has exited.
+func (p *Pipeline) RunMemberOpts(mr MemberRun) (MemberResult, error) {
+	startBit := mr.StartBit
 	if startBit <= 0 {
 		startBit = p.win.Base() * 8
 	}
-	memberOut := run.OutBase
-	checkpointing := run.OnCheckpoint != nil && run.CheckpointSpacing > 0
-	exact := checkpointing && run.ExactCheckpoints
-	o := p.inner
+	checkpointing := mr.OnCheckpoint != nil && mr.CheckpointSpacing > 0
+	exact := checkpointing && mr.ExactCheckpoints
+	n, span := p.n, p.span
 	if exact {
-		o.Threads = 1
+		n, span = 1, int64(p.batchBytes)
 	}
-	nextCpAt := run.OutBase // first candidate boundary checkpoints immediately
-	firstBit := startBit
-	for {
-		// Measure (tail sinks, no output) a batch that clearly lies below
-		// the skip target: against DEFLATE's ~1032x worst-case expansion
-		// before any of this member has decoded (which still always
-		// selects measuring passes and index builds, whose skip target is
-		// effectively infinite), and against twice the member's observed
-		// expansion after. Exact checkpoints of a skipped batch come only
-		// from the tail sink's capture walk, so an exact run measures
-		// every skipped batch.
-		target := run.SkipTo - memberOut // > 0 while skipping
-		var so segOpts
-		if target > 0 {
-			est := int64(p.batchBytes) * 1032
-			if consumed := (startBit - firstBit) / 8; consumed > 0 && memberOut > run.OutBase {
-				ratio := (memberOut - run.OutBase + consumed - 1) / consumed
-				est = int64(p.batchBytes) * (ratio + 1) * 2
-			}
-			so.measure = target > est || exact
-			if exact {
-				so.from, so.every = nextCpAt-memberOut, run.CheckpointSpacing
-			}
-		}
-		seg, err := p.decodeNext(startBit, ctx, o, so)
-		if err == nil && so.measure && seg.outLen > target {
-			// The batch reaches the target after all, and its tail sinks
-			// kept too little to translate: decode it again in full. Only
-			// the one batch straddling the target pays this.
-			seg.release()
-			so = segOpts{}
-			seg, err = p.decodeNext(startBit, ctx, o, so)
-		}
-		if err != nil {
-			return MemberResult{}, err
-		}
-		// Translate only a batch that reaches the target; one decoded in
-		// full below it (the estimate was unsure) is measured all the same.
-		if seg.outLen > target {
-			err = seg.translate(o.Sequential)
-		}
-		winBase := p.win.Base()
-		if err == nil && checkpointing {
-			err = emitCheckpoints(run.OnCheckpoint, run.CheckpointSpacing, &nextCpAt,
-				seg, so.every > 0, memberOut, winBase)
-		}
-		copy(ctx, seg.window)
-		seg.release()
-		if err == nil && seg.out != nil {
-			err = run.Emit(seg.out[max(target, 0):])
-		}
-		if err != nil {
-			return MemberResult{}, err
-		}
-		p.batches.Add(1)
-		p.outBytes.Add(seg.outLen)
-		memberOut += seg.outLen
-		endAbs := winBase*8 + seg.endBit
-		p.win.DiscardTo(endAbs / 8)
-		startBit = endAbs
-		if seg.final {
-			return MemberResult{EndBit: endAbs, Out: memberOut}, nil
-		}
+	var extEnd int64
+	if mr.Extent > 0 {
+		extEnd = startBit/8 + mr.Extent
 	}
-}
-
-// emitCheckpoints is the one place a decoded segment becomes restart
-// points. Its candidates are every block boundary of a translated
-// segment, the capture walk's snapshots of a measured exact one
-// (captured), and otherwise the chunk starts, each a confirmed block
-// boundary whose resolved window pass 2a left in c.ctx. Those at or past
-// *nextAt are emitted, advancing it by spacing each time. memberOut is
-// the member-relative offset of the segment's first output byte, winBase
-// the source byte offset of the payload window the segment's bit offsets
-// are relative to.
-func emitCheckpoints(fn func(Checkpoint) error, spacing int64, nextAt *int64,
-	seg *segment, captured bool, memberOut, winBase int64) error {
-	due := func(segRel int64) bool { return memberOut+segRel >= *nextAt }
-	emit := func(bit, segRel int64, win []byte) error {
-		out := memberOut + segRel
-		*nextAt = out + spacing
-		return fn(Checkpoint{Bit: winBase*8 + bit, Out: out, Window: win})
+	r := &run{
+		o: p.inner, src: &source{win: p.win, maxWindow: p.maxWindow},
+		span: span, n: n, extEnd: extEnd,
+		emit: mr.Emit, skipTo: mr.SkipTo, exact: exact,
+		emitted: &p.batches, outCounter: &p.outBytes, work: &p.work,
 	}
-	switch {
-	case seg.out != nil:
-		ctx := seg.chunks[0].ctx
-		for i, c := range seg.chunks {
-			for j, s := range c.spans {
-				at := c.out + s.OutStart
-				if !due(at) {
-					continue
-				}
-				win := make([]byte, tracked.WindowSize)
-				if at >= tracked.WindowSize {
-					copy(win, seg.out[at-tracked.WindowSize:at])
-				} else {
-					copy(win, ctx[at:])
-					copy(win[tracked.WindowSize-at:], seg.out[:at])
-				}
-				// A stored block's byte-alignment padding makes a chunk's
-				// candidate start bit ambiguous (continuity verified the
-				// decodes equivalent). A sequential decode, the reference
-				// an index is compared against, reports the predecessor's
-				// stop bit, so pin it for byte-identical indexes.
-				bit := s.Event.StartBit
-				if j == 0 && i > 0 {
-					bit = seg.chunks[i-1].endBit
-				}
-				if err := emit(bit, at, win); err != nil {
-					return err
-				}
-			}
-		}
-	case captured:
-		for _, cp := range seg.chunks[0].caps {
-			if due(cp.Out) {
-				if err := emit(cp.Bit, cp.Out, cp.Window); err != nil {
-					return err
-				}
-			}
-		}
-	default:
-		for _, c := range seg.chunks {
-			if due(c.out) {
-				if err := emit(c.startBit, c.out, bytes.Clone(c.ctx)); err != nil {
-					return err
-				}
-			}
-		}
+	if checkpointing {
+		r.onCP, r.cpSpacing, r.nextCP = mr.OnCheckpoint, mr.CheckpointSpacing, mr.OutBase
 	}
-	return nil
-}
-
-// decodeNext decodes the batch beginning at absolute bit startBit,
-// growing the window and retrying when a decode runs off the buffered
-// data before the source is exhausted. A decode of a window prefix that
-// succeeds is identical to the decode over the full stream (DEFLATE is
-// prefix-deterministic), so retry is only ever needed on error. Each
-// batch is one segment of the shared chunk-decode engine.
-func (p *Pipeline) decodeNext(startBit int64, ctx []byte, o Options, so segOpts) (*segment, error) {
-	need := p.batchBytes + batchSlack
-	for {
-		if err := p.win.Fill(need); errors.Is(err, srcbuf.ErrClosed) {
-			return nil, err
-		}
-		// Decode whatever is resident even if the source just failed:
-		// an io.Reader may deliver its final bytes alongside its error.
-		rel := startBit - p.win.Base()*8
-		seg, err := decodeSegment(p.win.Bytes(), rel, int64(p.batchBytes), ctx, o, so)
-		if err == nil {
-			return seg, nil
-		}
-		if p.win.EOF() {
-			if srcErr := p.win.Err(); srcErr != nil {
-				return nil, srcErr
-			}
-			return nil, err
-		}
-		// The failure may be an artifact of decoding a truncated window
-		// (a block straddling the window end): buffer more and retry.
-		// Doubling keeps pathological retries O(log n); the cap keeps a
-		// genuinely corrupt stream from buffering the whole source.
-		cur := p.win.Len()
-		if cur >= p.maxWindow {
-			return nil, fmt.Errorf("core: batch at bit %d undecodable within %d-byte window (corrupt stream?): %w",
-				startBit, cur, err)
-		}
-		need = 2 * cur
-		if need > p.maxWindow {
-			need = p.maxWindow
-		}
+	r.start(startBit, mr.Context, mr.OutBase)
+	if err := r.resolve(); err != nil {
+		return MemberResult{}, err
 	}
+	return MemberResult{EndBit: r.bit, Out: r.out}, nil
 }

@@ -47,45 +47,51 @@ func TestPipelineWindowGrowthOnBinaryData(t *testing.T) {
 	}
 }
 
-// TestPlanSegmentEndsWithoutProbe: the segment end is never probed. The
-// last chunk stops at the first block past the span end (or, when the
-// span reaches the end of the payload, decodes to the final block), and
-// interior probes that find nothing inside the segment merge away.
-func TestPlanSegmentEndsWithoutProbe(t *testing.T) {
+// TestSpanSyncEndsWithoutProbe: the end of a plan is never probed and
+// no probe leaves its span. A one-span run syncs nothing; every later
+// chunk starts inside its own span; the last span decodes to the final
+// block (no probe past it); and on binary input, where no probe ever
+// confirms, the probes together try at most one candidate per payload
+// bit — an unbounded probe k would scan to the end of the payload.
+// Sequential mode runs every probe to completion, so the counts do not
+// depend on how fast the resolver overtakes a worker.
+func TestSpanSyncEndsWithoutProbe(t *testing.T) {
 	text := mustCompress(t, corpusFastq(20000, 3), 6)
 	noise := make([]byte, 1<<20)
 	rand.New(rand.NewSource(9)).Read(noise)
 	binary := mustCompress(t, noise, 6)
-	const span = 256 << 10
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		threads int
-		span    int64
 		chunks  int // 0 = more than one
 	}{
-		{"one chunk", text, 1, span, 1},
-		{"one chunk to the end", text, 1, int64(len(text)), 1},
-		{"text", text, 4, span, 0},
-		{"binary", binary, 4, span, 1},
+		{"one chunk", text, 1, 1},
+		{"text", text, 4, 0},
+		{"binary", binary, 4, 0},
 	} {
-		chunks, err := planSegment(tc.payload, 0, tc.span, Options{Threads: tc.threads, MinChunk: 16 << 10})
+		o := Options{Threads: tc.threads, MinChunk: 16 << 10, Sequential: true}
+		out, m, err := DecompressPayload(tc.payload, o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if tc.chunks > 0 && len(chunks) != tc.chunks || tc.chunks == 0 && len(chunks) < 2 {
-			t.Fatalf("%s: %d chunks", tc.name, len(chunks))
+		if tc.chunks > 0 && len(m.Chunks) != tc.chunks || tc.chunks == 0 && len(m.Chunks) < 2 {
+			t.Fatalf("%s: %d chunks", tc.name, len(m.Chunks))
 		}
-		endBit := min(tc.span, int64(len(tc.payload))) * 8
-		for i, c := range chunks {
-			if c.startBit >= endBit {
-				t.Fatalf("%s: chunk %d starts at bit %d, past the segment end %d", tc.name, i, c.startBit, endBit)
+		if tc.threads == 1 && m.Work.BitsTried != 0 {
+			t.Fatalf("%s: a one-span run tried %d sync offsets", tc.name, m.Work.BitsTried)
+		}
+		if m.Work.BitsTried > int64(len(tc.payload))*8 {
+			t.Fatalf("%s: %d sync offsets tried over a %d-bit payload", tc.name, m.Work.BitsTried, len(tc.payload)*8)
+		}
+		span := int64(len(tc.payload) / tc.threads)
+		for i, c := range m.Chunks[1:] {
+			if lo := c.StartBit / 8 / span; lo > int64(tc.threads-1) {
+				t.Fatalf("%s: chunk %d starts at bit %d, past the last span", tc.name, i+1, c.StartBit)
 			}
 		}
-		last := chunks[len(chunks)-1]
-		toEnd := tc.span >= int64(len(tc.payload))
-		if last.last != toEnd || !toEnd && last.stopBit != endBit {
-			t.Fatalf("%s: last chunk (last=%v, stopBit %d), want last=%v stopBit %d", tc.name, last.last, last.stopBit, toEnd, endBit)
+		if last := m.Chunks[len(m.Chunks)-1]; last.EndBit != m.PayloadEndBit || int64(len(out)) == 0 {
+			t.Fatalf("%s: last chunk ends at %d, payload at %d", tc.name, last.EndBit, m.PayloadEndBit)
 		}
 	}
 }

@@ -54,6 +54,14 @@ type Visitor interface {
 	BlockEnd(nextBit int64) error
 }
 
+// StoredSink is a Visitor that takes a stored block's bytes in one
+// call, exactly as if each had been a Literal (halts included). A
+// validating decode still feeds them one Literal at a time.
+type StoredSink interface {
+	Visitor
+	Stored(b []byte) error
+}
+
 // Options tunes validation. The zero value decodes permissively, as a
 // normal gunzip would.
 type Options struct {
@@ -285,6 +293,13 @@ func (d *Decoder) decodeStored(r *bitio.Reader, v Visitor, ev BlockEvent) error 
 	buf := d.storedBuf[:n]
 	if err := r.ReadBytes(buf); err != nil {
 		return ErrTruncated
+	}
+	if bs, ok := v.(StoredSink); ok && !d.opts.Validate {
+		if err := bs.Stored(buf); err != nil {
+			return err
+		}
+		d.total += int64(n)
+		return v.BlockEnd(r.BitPos())
 	}
 	for _, b := range buf {
 		if d.opts.Validate && !d.valid(b) {

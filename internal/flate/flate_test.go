@@ -5,6 +5,7 @@ import (
 	stdflate "compress/flate"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitio"
@@ -356,5 +357,40 @@ func TestBlockTypeString(t *testing.T) {
 		if bt.String() != want {
 			t.Fatalf("%d: got %s", bt, bt.String())
 		}
+	}
+}
+
+// cancelOnFirst sets cancel on the first token it sees (a plain
+// Visitor, so the decoder takes the scalar path through it).
+type cancelOnFirst struct {
+	s      *ByteSink
+	cancel *atomic.Bool
+}
+
+func (c cancelOnFirst) BlockStart(ev BlockEvent) error { return c.s.BlockStart(ev) }
+func (c cancelOnFirst) BlockEnd(bit int64) error       { return c.s.BlockEnd(bit) }
+func (c cancelOnFirst) Literal(b byte) error           { c.cancel.Store(true); return c.s.Literal(b) }
+func (c cancelOnFirst) Match(l, d int) error           { c.cancel.Store(true); return c.s.Match(l, d) }
+
+// TestCancelStopsAtBlockBoundary: a Cancel flag set mid-block fails the
+// decode at the next block boundary, with the block in progress fully
+// decoded.
+func TestCancelStopsAtBlockBoundary(t *testing.T) {
+	data := textData(300_000, 3)
+	payload := stdCompress(t, data, 6)
+	_, blocks, err := DecompressRecorded(payload, 0, true)
+	if err != nil || len(blocks) < 2 {
+		t.Fatalf("%d blocks, err %v", len(blocks), err)
+	}
+	var cancel atomic.Bool
+	sink := &ByteSink{}
+	sink.Cancel = &cancel
+	r, _ := bitio.NewReaderAt(payload, 0)
+	dec := NewDecoder(Options{})
+	if _, err := dec.DecodeBlocks(r, cancelOnFirst{sink, &cancel}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err %v, want ErrCanceled", err)
+	}
+	if first := blocks[0].OutEnd; !bytes.Equal(sink.Out, data[:first]) {
+		t.Fatalf("decoded %d bytes before the cancel, want the first block's %d", len(sink.Out), first)
 	}
 }

@@ -2,6 +2,7 @@ package flate
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"repro/internal/bitio"
 )
@@ -35,6 +36,10 @@ type Control struct {
 	// StoppedAt is the start bit of the block that triggered the StopBit
 	// halt, or 0 when none did (a halt always lands past bit 0).
 	StoppedAt int64
+	// Cancel, when non-nil and set, fails the decode with ErrCanceled at
+	// its next block boundary: how a scheduler abandons work nobody
+	// waits for any more.
+	Cancel *atomic.Bool
 	// Blocks accumulates one span per decoded block once RecordBlocks
 	// was called. Output offsets count produced cells; a seeded context
 	// is excluded.
@@ -55,7 +60,13 @@ func (c *Control) EndBit(r *bitio.Reader) int64 {
 	return r.BitPos()
 }
 
+// ErrCanceled is returned by a decode whose Control.Cancel was set.
+var ErrCanceled = errors.New("flate: decode canceled")
+
 func (c *Control) blockStart(ev BlockEvent, out int64) error {
+	if c.Cancel != nil && c.Cancel.Load() {
+		return ErrCanceled
+	}
 	if c.StopBit > 0 && ev.StartBit >= c.StopBit {
 		c.StoppedAt = ev.StartBit
 		return Stop
@@ -144,6 +155,26 @@ func (s *Linear[E]) Match(length, dist int) error {
 	}
 	s.Out = appendMatch(s.Out, length, dist)
 	return s.reached(s.Len())
+}
+
+// Stored implements StoredSink.
+func (s *Linear[E]) Stored(b []byte) error {
+	if s.Limit > 0 {
+		b = b[:min(int64(len(b)), s.Limit-s.Len())]
+	}
+	s.Out = appendBytes(s.Out, b)
+	return s.reached(s.Len())
+}
+
+// appendBytes appends b to dst, widening each byte to a cell.
+func appendBytes[E Cell](dst []E, b []byte) []E {
+	if d, ok := any(dst).([]byte); ok {
+		return any(append(d, b...)).([]E)
+	}
+	for _, c := range b {
+		dst = append(dst, E(c))
+	}
+	return dst
 }
 
 func (s *Linear[E]) BlockEnd(nextBit int64) error {

@@ -63,6 +63,21 @@ func (s *Sliding[E]) Match(length, dist int) error {
 	return s.reached(s.total)
 }
 
+// Stored implements StoredSink, one slide's worth of room at a time.
+func (s *Sliding[E]) Stored(b []byte) error {
+	if s.Limit > 0 {
+		b = b[:min(int64(len(b)), s.Limit-s.total)]
+	}
+	for len(b) > 0 {
+		n := min(len(b), slideAt-WindowSize)
+		s.slide(n)
+		s.Buf = appendBytes(s.Buf, b[:n])
+		s.total += int64(n)
+		b = b[n:]
+	}
+	return s.reached(s.total)
+}
+
 func (s *Sliding[E]) BlockEnd(nextBit int64) error {
 	s.blockEnd(nextBit, s.total)
 	return nil

@@ -44,10 +44,25 @@ type Member struct {
 	// HeaderLen is the byte length of the member header; the DEFLATE
 	// payload begins at this offset from the member start.
 	HeaderLen int
-	XFL       byte
-	OS        byte
-	Name      string
-	Comment   string
+	// Length is the member's total byte length (header, payload and
+	// trailer) declared by a BGZF "BC" extra subfield (BSIZE+1), or 0
+	// when the header carries none. It is a claim, not a measurement:
+	// decoders may plan with it but must not trust it.
+	Length  int
+	XFL     byte
+	OS      byte
+	Name    string
+	Comment string
+}
+
+// PayloadLen returns the compressed payload length the header declares
+// (Length less the header and the 8-byte trailer), or 0 when it
+// declares none (or an impossible one).
+func (m Member) PayloadLen() int {
+	if n := m.Length - m.HeaderLen - 8; n > 0 {
+		return n
+	}
+	return 0
 }
 
 // CompressionClass partitions gzip files the way `file` does, from the

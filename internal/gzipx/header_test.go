@@ -141,3 +141,35 @@ func TestPayloadBounds(t *testing.T) {
 		t.Fatalf("end %d", end)
 	}
 }
+
+// TestReadHeaderBGZFLength: a BGZF "BC" subfield declares the member
+// length (BSIZE+1) wherever it sits among the FEXTRA subfields; without
+// one, or with a malformed field, Length is 0.
+func TestReadHeaderBGZFLength(t *testing.T) {
+	bc := []byte{'B', 'C', 2, 0, 0x1b, 0x01} // BSIZE 0x011b
+	other := []byte{'A', 'p', 3, 0, 1, 2, 3}
+	for _, tc := range []struct {
+		name  string
+		extra []byte
+		want  int
+	}{
+		{"bc only", bc, 0x011c},
+		{"after another subfield", append(append([]byte{}, other...), bc...), 0x011c},
+		{"no bc", other, 0},
+		{"bc with the wrong length", []byte{'B', 'C', 1, 0, 7}, 0},
+		{"subfield overrunning the field", []byte{'B', 'C', 9, 0, 1, 2}, 0},
+		{"empty", nil, 0},
+	} {
+		h := buildHeader(flgFEXTRA, tc.extra, nil, nil, false)
+		m, err := ParseHeader(h)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if m.Length != tc.want || m.HeaderLen != len(h) {
+			t.Fatalf("%s: Length %d HeaderLen %d, want %d and %d", tc.name, m.Length, m.HeaderLen, tc.want, len(h))
+		}
+		if want := max(tc.want-len(h)-8, 0); m.PayloadLen() != want {
+			t.Fatalf("%s: PayloadLen %d, want %d", tc.name, m.PayloadLen(), want)
+		}
+	}
+}

@@ -51,11 +51,13 @@ func ReadHeader(br io.ByteReader) (Member, error) {
 			return m, err
 		}
 		xlen := int(binary.LittleEndian.Uint16([]byte{lo, hi}))
-		for i := 0; i < xlen; i++ {
-			if _, err := next(); err != nil {
+		extra := make([]byte, xlen)
+		for i := range extra {
+			if extra[i], err = next(); err != nil {
 				return m, err
 			}
 		}
+		m.Length = bgzfLength(extra)
 		n += 2 + xlen
 	}
 	readZString := func() (string, error) {
@@ -96,6 +98,23 @@ func ReadHeader(br io.ByteReader) (Member, error) {
 	}
 	m.HeaderLen = n
 	return m, nil
+}
+
+// bgzfLength returns the member length a BGZF "BC" subfield of the
+// FEXTRA field declares (BSIZE+1), or 0 when there is none. Subfields
+// are SI1 SI2 LEN(2, little-endian) followed by LEN data bytes.
+func bgzfLength(extra []byte) int {
+	for len(extra) >= 4 {
+		slen := int(binary.LittleEndian.Uint16(extra[2:]))
+		if len(extra) < 4+slen {
+			return 0
+		}
+		if extra[0] == 'B' && extra[1] == 'C' && slen == 2 {
+			return int(binary.LittleEndian.Uint16(extra[4:])) + 1
+		}
+		extra = extra[4+slen:]
+	}
+	return 0
 }
 
 // ReadTrailer parses one member trailer (CRC-32 then ISIZE, both

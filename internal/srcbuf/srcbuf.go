@@ -13,6 +13,11 @@
 // This is the memory-bounding piece of the streaming decompression
 // pipeline: peak residency is O(high-water window) regardless of how
 // large the source stream is.
+//
+// Readers on other goroutines see the window through Pin: while a pin
+// on the backing array is outstanding, the consumer never writes to it
+// in place (no compaction, no appends over a pinned length), so a
+// pinned snapshot stays valid however far the window slides.
 package srcbuf
 
 import (
@@ -45,6 +50,7 @@ type segment struct {
 // called from any goroutine.
 type Window struct {
 	segs      chan segment
+	spent     chan []byte // segment buffers copied into buf, for the reader to reuse; one slot per segment in flight
 	cancel    chan struct{}
 	closeOnce sync.Once
 
@@ -53,6 +59,13 @@ type Window struct {
 	base int64 // absolute source offset of buf[off]
 	eof  bool  // no further segments will arrive
 	err  error // terminal source error (io.EOF is not recorded)
+
+	// pins counts outstanding Pin snapshots of buf's backing array; the
+	// spare array (a previous backing array) is reused once its own
+	// count drops to zero.
+	pins      *atomic.Int32
+	spare     []byte
+	sparePins *atomic.Int32
 
 	maxBuf atomic.Int64
 }
@@ -69,7 +82,9 @@ func New(r io.Reader, readSize, prefetch int) *Window {
 	}
 	w := &Window{
 		segs:   make(chan segment, prefetch),
+		spent:  make(chan []byte, prefetch+1),
 		cancel: make(chan struct{}),
+		pins:   new(atomic.Int32),
 	}
 	go w.read(r, readSize)
 	return w
@@ -80,7 +95,12 @@ func New(r io.Reader, readSize, prefetch int) *Window {
 func (w *Window) read(r io.Reader, readSize int) {
 	defer close(w.segs)
 	for {
-		buf := make([]byte, readSize)
+		var buf []byte
+		select {
+		case buf = <-w.spent:
+		default:
+			buf = make([]byte, readSize)
+		}
 		n, err := r.Read(buf)
 		if n == 0 && err == nil {
 			continue
@@ -108,7 +128,14 @@ func (w *Window) fillOne() error {
 			return nil
 		}
 		if len(seg.data) > 0 {
+			if len(w.buf)+len(seg.data) > cap(w.buf) {
+				w.relocate(len(seg.data))
+			}
 			w.buf = append(w.buf, seg.data...)
+			select { // the reader may fill it again
+			case w.spent <- seg.data[:cap(seg.data)]:
+			default:
+			}
 			if n := int64(len(w.buf) - w.off); n > w.maxBuf.Load() {
 				w.maxBuf.Store(n)
 			}
@@ -157,17 +184,100 @@ func (w *Window) EOF() bool { return w.eof }
 // Err returns the source's terminal error, if any (never io.EOF).
 func (w *Window) Err() error { return w.err }
 
-// Discard consumes n bytes from the head of the window.
+// Discard consumes n bytes from the head of the window. It compacts
+// the live bytes to the front of the buffer in place only while no
+// snapshot of the buffer is pinned; otherwise the dead prefix is
+// dropped when the next fill needs room (relocate).
 func (w *Window) Discard(n int) {
 	if n > w.Len() {
 		n = w.Len()
 	}
 	w.off += n
 	w.base += int64(n)
-	if w.off >= compactThreshold {
+	if w.off >= compactThreshold && w.pins.Load() == 0 {
 		w.buf = w.buf[:copy(w.buf, w.buf[w.off:])]
 		w.off = 0
 	}
+}
+
+// relocate makes room for n more bytes by moving the live window to the
+// front of a backing array: the current one when nothing pins it and it
+// is large enough, else the spare (a previous array nothing pins any
+// more), else a fresh one. The array it leaves becomes the spare, so a
+// steady stream of pinned snapshots alternates between two arrays.
+func (w *Window) relocate(n int) {
+	live := w.buf[w.off:]
+	need := len(live) + n
+	if w.pins.Load() == 0 && cap(w.buf) >= need {
+		w.buf = w.buf[:copy(w.buf, live)]
+		w.off = 0
+		return
+	}
+	buf, pins := w.spare, w.sparePins
+	if pins == nil || pins.Load() != 0 || cap(buf) < need {
+		if pins != nil && pins.Load() == 0 {
+			keepArray(buf) // too small here, maybe not for the next window
+		}
+		buf, pins = takeArray(need), new(atomic.Int32)
+	}
+	w.spare, w.sparePins = w.buf, w.pins
+	w.buf, w.pins, w.off = append(buf[:0], live...), pins, 0
+}
+
+// spareArrays keeps the backing arrays of finished windows (Recycle)
+// for the next window to grow into, so a stream of short-lived windows
+// stops allocating its buffer from scratch each time. Two slots hold
+// one window's pair of arrays.
+var spareArrays = make(chan []byte, 2)
+
+// takeArray returns an empty array with room for at least n bytes: a
+// kept one (dropping those too small on the way) or a new one of twice
+// n, so a growing window relocates O(log) times.
+func takeArray(n int) []byte {
+	for {
+		select {
+		case b := <-spareArrays:
+			if cap(b) >= n {
+				return b[:0]
+			}
+		default:
+			return make([]byte, 0, 2*n)
+		}
+	}
+}
+
+func keepArray(b []byte) {
+	if cap(b) > 0 {
+		select {
+		case spareArrays <- b[:0]:
+		default:
+		}
+	}
+}
+
+// Recycle hands the window's buffers to the next window once the
+// consumer is done with it. Arrays a snapshot still pins are left to
+// the garbage collector. The window must not be used afterwards, except
+// for MaxBuffered and Close.
+func (w *Window) Recycle() {
+	if w.pins.Load() == 0 {
+		keepArray(w.buf)
+	}
+	if w.sparePins != nil && w.sparePins.Load() == 0 {
+		keepArray(w.spare)
+	}
+	w.buf, w.spare, w.off = nil, nil, 0
+}
+
+// Pin returns the live window for a reader on another goroutine, with
+// the absolute source offset of its first byte. The snapshot stays
+// valid, and its bytes unchanged, until unpin is called, whatever the
+// consumer fills or discards meanwhile. unpin is safe from any
+// goroutine and must be called exactly once.
+func (w *Window) Pin() (data []byte, base int64, unpin func()) {
+	pins := w.pins
+	pins.Add(1)
+	return w.buf[w.off:len(w.buf):len(w.buf)], w.base, func() { pins.Add(-1) }
 }
 
 // DiscardTo consumes bytes so that Base() == abs. Positions at or

@@ -173,3 +173,38 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("Base = %d, want %d", w.Base(), len(data))
 	}
 }
+
+// TestPinnedSnapshotSurvivesSliding: while a snapshot is pinned, the
+// window may slide, relocate and grow past it, but never writes to the
+// bytes the snapshot covers; once unpinned, compaction resumes in place.
+func TestPinnedSnapshotSurvivesSliding(t *testing.T) {
+	data := make([]byte, 16*compactThreshold)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	w := New(bytes.NewReader(data), 8<<10, 2)
+	defer w.Close()
+	if err := w.Fill(2 * compactThreshold); err != nil {
+		t.Fatal(err)
+	}
+	w.Discard(100)
+	snap, base, unpin := w.Pin()
+	want := bytes.Clone(snap)
+	for i := 0; i < 12; i++ {
+		w.Discard(compactThreshold)
+		if err := w.Fill(2 * compactThreshold); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if base != 100 || !bytes.Equal(snap, want) || !bytes.Equal(snap, data[100:100+len(snap)]) {
+		t.Fatal("pinned snapshot changed while the window slid")
+	}
+	if !bytes.Equal(w.Bytes(), data[w.Base():w.Base()+int64(w.Len())]) {
+		t.Fatal("window content wrong after relocating around a pin")
+	}
+	unpin()
+	w.Discard(compactThreshold)
+	if w.off != 0 {
+		t.Fatalf("dead prefix %d not compacted once unpinned", w.off)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/flate"
@@ -78,34 +79,58 @@ func seedSymbols(buf []uint16) []uint16 {
 // Result.Release once pass-2 translation has consumed them, windows via
 // PutWindow once the propagation chain moves past them.
 
-var symBufPool = sync.Pool{
-	New: func() any { return make([]uint16, 0, WindowSize+64<<10) },
-}
+// symBufs is a small bounded free list, not a sync.Pool: a symbolic
+// buffer is filled on a worker's goroutine and released on the
+// resolver's, and a sync.Pool keeps a lone item in its putter's
+// per-processor slot, out of the other processor's reach. Its slots
+// cover the chunks in flight at once.
+var symBufs = make(chan []uint16, 4)
 
+// maxSymBufCells is the largest symbolic buffer kept for reuse.
+const maxSymBufCells = 64 << 20
+
+// getSymBuf returns an empty buffer with room for capHint cells. Kept
+// buffers too small for it are dropped on the way; a new one gets a
+// quarter of headroom, so chunks of similar size keep reusing it.
 func getSymBuf(capHint int) []uint16 {
-	b := symBufPool.Get().([]uint16)
-	if cap(b) < capHint {
-		symBufPool.Put(b[:0]) //nolint:staticcheck
-		b = make([]uint16, 0, capHint)
+	for {
+		select {
+		case b := <-symBufs:
+			if cap(b) >= capHint {
+				return b[:0]
+			}
+		default:
+			return make([]uint16, 0, capHint+capHint/4)
+		}
 	}
-	return b[:0]
 }
 
 func putSymBuf(b []uint16) {
-	if cap(b) == 0 {
+	if cap(b) == 0 || cap(b) > maxSymBufCells {
 		return
 	}
-	symBufPool.Put(b[:0]) //nolint:staticcheck
+	select {
+	case symBufs <- b[:0]:
+	default:
+	}
 }
 
 var windowPool = sync.Pool{
 	New: func() any { return make([]byte, WindowSize) },
 }
 
+// windowsOut counts windows taken from the pool and not yet returned.
+var windowsOut atomic.Int64
+
+// WindowsOut returns how many pooled windows are taken and not yet
+// returned: a decode that balances its pool leaves it unchanged.
+func WindowsOut() int64 { return windowsOut.Load() }
+
 // GetWindow returns a zeroed WindowSize context buffer from the pool.
 func GetWindow() []byte {
 	w := windowPool.Get().([]byte)
 	clear(w)
+	windowsOut.Add(1)
 	return w
 }
 
@@ -115,6 +140,7 @@ func PutWindow(w []byte) {
 	if cap(w) < WindowSize {
 		return
 	}
+	windowsOut.Add(-1)
 	windowPool.Put(w[:WindowSize]) //nolint:staticcheck
 }
 
@@ -160,6 +186,9 @@ type DecodeOptions struct {
 	RecordSpans bool
 	// SizeHint pre-sizes the output buffer.
 	SizeHint int
+	// Cancel, when set, fails the decode at its next block boundary
+	// (flate.ErrCanceled).
+	Cancel *atomic.Bool
 }
 
 // DecodeFrom decompresses a DEFLATE stream starting at startBit of
@@ -202,7 +231,7 @@ func decode(data []byte, startBit int64, opts DecodeOptions, v flate.Visitor, c 
 	if err != nil {
 		return nil, err
 	}
-	c.Limit, c.StopBit = int64(opts.MaxOutput), opts.StopBit
+	c.Limit, c.StopBit, c.Cancel = int64(opts.MaxOutput), opts.StopBit, opts.Cancel
 	if opts.RecordSpans {
 		c.RecordBlocks()
 	}

@@ -51,7 +51,9 @@ import (
 
 // Options configures parallel decompression.
 type Options struct {
-	// Threads is the number of concurrent chunks; values < 1 select 1.
+	// Threads is the number of spans each member's payload is cut into
+	// (values < 1 select 1); at most min(Threads, GOMAXPROCS)
+	// goroutines decode at once.
 	Threads int
 	// VerifyChecksums enables CRC-32 and ISIZE verification of every
 	// gzip member. The paper's pugz skips checksums (Section VIII);
@@ -60,8 +62,8 @@ type Options struct {
 	// MinChunk is the minimum compressed bytes per chunk (default
 	// 128 KiB). Lower it to exercise parallelism on small inputs.
 	MinChunk int
-	// Sequential runs each chunk's work one at a time instead of
-	// concurrently (output identical). Use it for measurement on hosts
+	// Sequential runs each chunk's sync and pass 1 to completion, one
+	// at a time, instead of concurrently (output identical). Use it for measurement on hosts
 	// with fewer cores than chunks: per-chunk Stats then reflect
 	// isolated cost, making SimulatedMakespan meaningful. See
 	// EXPERIMENTS.md.
@@ -155,6 +157,7 @@ func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
 			MinChunk:   o.MinChunk,
 			Sequential: o.Sequential,
 			SizeHint:   hint,
+			Extent:     member.PayloadLen(),
 		})
 		if err != nil {
 			return nil, nil, err

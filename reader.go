@@ -20,10 +20,12 @@ import (
 // lifting of the paper's whole-file-in-memory limitation (Section
 // VIII), for both directions: neither the compressed input nor the
 // decompressed output is ever materialized in full. A reader goroutine
-// fills a bounded compressed window from the source, Threads workers
-// decode each batch's chunks with symbolic contexts, and an in-order
-// resolver emits batches to Read with back-pressure, so peak memory is
-// O(batch x threads), independent of the stream size.
+// fills a bounded compressed window from the source; the chunk
+// scheduler keeps at most Threads spans of it in flight, workers
+// syncing and decoding later spans with symbolic contexts while an
+// in-order resolver stitches, translates and emits each chunk to Read
+// (with back-pressure) as soon as it is resolved. Peak memory is
+// O(batch + its expansion), independent of the stream size.
 //
 // Reader implements io.ReadCloser; the byte stream is identical to
 // gunzip's output across all members of a multi-member file.
@@ -36,7 +38,8 @@ type Reader struct {
 	errc    chan error
 	cancel  chan struct{}
 
-	cur     []byte // unread part of the current batch
+	cur     []byte // unread part of the current chunk
+	curBuf  []byte // the whole current chunk, recycled once read
 	done    bool
 	readErr error
 
@@ -73,10 +76,12 @@ type resumePoint struct {
 
 // StreamOptions configures a Reader.
 type StreamOptions struct {
-	// Threads is the number of parallel chunks per batch.
+	// Threads is the number of spans in flight; at most
+	// min(Threads, GOMAXPROCS) goroutines decode at once.
 	Threads int
-	// BatchCompressedBytes is the compressed bytes consumed per batch
-	// (default 4 MiB x Threads).
+	// BatchCompressedBytes bounds the compressed bytes in flight: at
+	// most Threads spans of BatchCompressedBytes/Threads each are being
+	// synced, decoded or resolved at once (default 4 MiB x Threads).
 	BatchCompressedBytes int
 	// MinChunk: minimum compressed bytes per chunk.
 	MinChunk int
@@ -91,7 +96,7 @@ type StreamOptions struct {
 	// decoding (default 2) — the source-side back-pressure bound.
 	Prefetch int
 	// MaxWindowBytes caps compressed-window growth while the pipeline
-	// retries a batch that would not decode (a corrupt stream, or a
+	// retries a chunk that would not decode (a corrupt stream, or a
 	// block straddling the window end). Default max(64 MiB, 4 x batch).
 	MaxWindowBytes int
 }
@@ -101,7 +106,8 @@ type StreamOptions struct {
 type ReaderStats struct {
 	// Members is the number of gzip members completed.
 	Members int
-	// Batches is the number of decompressed batches emitted.
+	// Batches is the number of decompressed chunks emitted (each at
+	// most one span's output).
 	Batches int
 	// OutBytes is the total decompressed size so far.
 	OutBytes int64
@@ -133,11 +139,14 @@ func newCursorReader(src io.Reader, o StreamOptions, cs cursorState) (*Reader, e
 		Prefetch:             o.Prefetch,
 		MaxWindowBytes:       o.MaxWindowBytes,
 	})
+	var extent int64
 	if cs.resume == nil {
-		if _, err := gzipx.ReadHeader(p.Window()); err != nil {
+		m, err := gzipx.ReadHeader(p.Window())
+		if err != nil {
 			p.Close()
 			return nil, err
 		}
+		extent = int64(m.PayloadLen())
 	}
 	r := &Reader{
 		opts:    o,
@@ -147,7 +156,7 @@ func newCursorReader(src io.Reader, o StreamOptions, cs cursorState) (*Reader, e
 		errc:    make(chan error, 1),
 		cancel:  make(chan struct{}),
 	}
-	go r.run()
+	go r.run(extent)
 	return r, nil
 }
 
@@ -177,9 +186,12 @@ func (readerClosedError) Is(target error) bool { return target == os.ErrClosed }
 // run walks members in a worker goroutine: the header of the current
 // member is always already consumed when the loop body starts (or, for
 // a resumed cursor, the first member continues from its resume point).
-func (r *Reader) run() {
+// extent is the current member's declared payload length (BGZF), 0
+// when unknown; the scheduler plans no span past it.
+func (r *Reader) run(extent int64) {
 	defer close(r.batches)
 	win := r.p.Window()
+	defer win.Recycle()
 	memberBase := int64(0) // stream offset of the current member's first output byte
 	first := true
 	for {
@@ -189,8 +201,8 @@ func (r *Reader) run() {
 				crc = crc32.Update(crc, crc32.IEEETable, b)
 				isize += uint32(len(b))
 			}
-			// Hand the batch to the consumer; the pipeline allocates a
-			// fresh buffer per batch, so ownership transfer is safe.
+			// Hand the chunk to the consumer, which owns it from here and
+			// recycles it once Read has copied it out.
 			select {
 			case r.batches <- b:
 				return nil
@@ -217,6 +229,7 @@ func (r *Reader) run() {
 		if r.cs.skipTo > memberBase {
 			mr.SkipTo = r.cs.skipTo - memberBase
 		}
+		mr.Extent = extent
 		res, err := r.p.RunMemberOpts(mr)
 		endBit := res.EndBit
 		if err != nil {
@@ -252,10 +265,12 @@ func (r *Reader) run() {
 		if win.Len() == 0 {
 			return // clean EOF
 		}
-		if _, err := gzipx.ReadHeader(win); err != nil {
+		m, err := gzipx.ReadHeader(win)
+		if err != nil {
 			r.fail(err)
 			return
 		}
+		extent = int64(m.PayloadLen())
 	}
 }
 
@@ -318,10 +333,14 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.readErr = io.EOF
 			return 0, io.EOF
 		}
-		r.cur = b
+		r.cur, r.curBuf = b, b
 	}
 	n := copy(p, r.cur)
 	r.cur = r.cur[n:]
+	if len(r.cur) == 0 {
+		core.RecycleOutput(r.curBuf)
+		r.curBuf = nil
+	}
 	return n, nil
 }
 
@@ -331,7 +350,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 // returns ErrReaderClosed; a Reader that had already delivered its
 // whole stream keeps returning io.EOF.
 func (r *Reader) Close() error {
-	// Signal both blocking points — the batch hand-off and the source
+	// Signal both blocking points — the chunk hand-off and the source
 	// window — before draining, so the worker exits even while waiting
 	// on a slow or stalled source. The closed flag is set first so a
 	// racing Read that observes the channels shutting down attributes

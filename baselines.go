@@ -23,8 +23,8 @@ import (
 //	                   into the blocked format (and most public data
 //	                   is not stored that way)
 
-// Index provides exact random access to a gzip file after one
-// sequential indexing pass (the zran approach of reference [11]).
+// Index provides exact random access to a gzip file after one indexing
+// pass (the zran approach of reference [11]).
 type Index struct {
 	inner      *gzindex.Index
 	payloadOff int64
@@ -120,7 +120,8 @@ func (ix *Index) readAtSource(f *File, p []byte, off int64) (int, error) {
 }
 
 // Marshal serialises the index to a compact side-car blob (windows
-// deflate-compressed); LoadIndex restores it.
+// deflate-compressed, each on its own, on up to GOMAXPROCS goroutines:
+// the blob is the same at any parallelism); LoadIndex restores it.
 func (ix *Index) Marshal() ([]byte, error) { return ix.inner.Marshal() }
 
 // LoadIndex restores an index serialised by Marshal for use with the

@@ -13,6 +13,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/gzindex"
 	"repro/internal/gzipx"
 )
 
@@ -213,3 +214,60 @@ func iotest(b []byte) io.Reader { return &onlyReader{bytes.NewReader(b)} }
 type onlyReader struct{ r io.Reader }
 
 func (o *onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
+
+// FuzzIndexBuildParity: the parallel index build against the
+// sequential oracle. A fuzzed plaintext, repeated (the repeats raise
+// its expansion toward the exact run's cap), is compressed at one of
+// levels 0/1/6/9 and indexed by NewIndexFromReader on fuzzed threads,
+// batch, chunk floor and spacing; the marshalled blob must equal
+// gzindex.Build's over the same payload, or both must fail. Small
+// batches and chunk floors cut the stream into many spans, reaching a
+// run's take-overs, gaps and false starts.
+func FuzzIndexBuildParity(f *testing.F) {
+	text := genFastq(200, 31)
+	f.Add(text, uint8(2), uint8(7), uint8(3), uint8(1), uint8(1), uint16(16))
+	f.Add(text[:20000], uint8(0), uint8(3), uint8(3), uint8(1), uint8(0), uint16(4))
+	f.Add(text[:3000], uint8(1), uint8(15), uint8(1), uint8(1), uint8(2), uint16(64))
+	f.Add([]byte("ACGT"), uint8(3), uint8(255), uint8(2), uint8(1), uint8(0), uint16(1))
+	f.Add([]byte{}, uint8(2), uint8(0), uint8(3), uint8(0), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, plain []byte, level, reps, threads, batchKiB, minKiB uint8, spacingKiB uint16) {
+		if len(plain) > fuzzInputLimit {
+			t.Skip("oversized input")
+		}
+		plain = bytes.Repeat(plain, 1+int(reps%16))
+		gz, err := Compress(plain, []int{0, 1, 6, 9}[level%4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		spacing := 1 + int64(spacingKiB%256)<<10
+		var want []byte
+		m, err := gzipx.ParseHeader(gz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, wantErr := gzindex.Build(gz[m.HeaderLen:], spacing)
+		if wantErr == nil {
+			if want, err = inner.Marshal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, gotErr := NewIndexFromReader(bytes.NewReader(gz), spacing, StreamOptions{
+			Threads:              1 + int(threads%4),
+			BatchCompressedBytes: int(batchKiB) << 10,
+			MinChunk:             (1 + int(minKiB%16)) << 10,
+		})
+		switch {
+		case (gotErr != nil) != (wantErr != nil):
+			t.Fatalf("parallel build error %v, sequential %v", gotErr, wantErr)
+		case gotErr != nil:
+			return
+		}
+		got, err := ix.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("parallel build's blob (%d bytes) differs from the sequential build's (%d bytes)", len(got), len(want))
+		}
+	})
+}

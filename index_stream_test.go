@@ -11,6 +11,7 @@ import (
 	"compress/gzip"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -208,7 +209,41 @@ func TestIndexFromReaderBoundedMemory(t *testing.T) {
 	if !bytes.Equal(p, data[off:off+int64(len(p))]) {
 		t.Fatal("checkpoint read mismatch")
 	}
-	t.Logf("stream indexed with peak residency %d over %d batches", st.MaxBufferedCompressed, st.Batches)
+	t.Logf("stream indexed with peak residency %d, work %+v", st.MaxBufferedCompressed, st.Work)
+
+	// Workers decode the spans: they sync them, and the resolver takes
+	// over fewer than it hands out. With one processor there are no
+	// workers and the build is one sequential exact pass. The spans are
+	// 1 MiB: a 64 KiB one takes the resolver's tail-only walk ~1 ms,
+	// and a worker's block sync alone ~5 ms, so at the pipe build's
+	// geometry the resolver takes over nearly every span.
+	if runtime.GOMAXPROCS(0) > 1 {
+		const span = 1 << 20
+		_, st, err := buildIndexStream(bytes.NewReader(gz), 256<<10, StreamOptions{
+			Threads:              4,
+			BatchCompressedBytes: 4 * span,
+			MinChunk:             16 << 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := int64(len(gz)-1) / span // every span but the first
+		if st.Work.BitsTried == 0 {
+			t.Fatal("no block sync ran: the build decoded sequentially")
+		}
+		if st.Work.TakeOvers >= tasks {
+			t.Fatalf("resolver took over all %d spans it handed out (work %+v)", tasks, st.Work)
+		}
+		t.Logf("1 MiB spans: %d handed out, work %+v", tasks, st.Work)
+	}
+	// One thread: no workers, so the one sequential exact pass.
+	_, st, err = buildIndexStream(bytes.NewReader(gz), 256<<10, StreamOptions{Threads: 1, BatchCompressedBytes: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Work.BitsTried != 0 || st.Work.TakeOvers != 0 {
+		t.Fatalf("Threads 1 build synced or took over spans: work %+v", st.Work)
+	}
 }
 
 // TestFileBuildIndex: the File-native streaming build must attach the

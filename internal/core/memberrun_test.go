@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/tracked"
@@ -275,4 +277,86 @@ func TestRunMemberSkipOvershoot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExactRunExpansionBound: an index build's memory must not grow
+// with the stream's expansion. A repeated 16 KiB FASTQ slice expands
+// ~130x, so a span's full symbolic decode would hold ~130 x 2 bytes per
+// compressed byte; flushes every 256 KiB of text give block sync
+// byte-aligned starts to confirm inside each span. Sequential mode runs
+// every span's sync and pass 1, deterministically, so each span reaches
+// the expansion cap, fails, and is measured by the resolver's tail-only
+// walk instead — and every checkpoint window is still the plaintext's.
+func TestExactRunExpansionBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64 MiB stream")
+	}
+	slice := corpusFastq(200, 47)[:16<<10]
+	const total = 64 << 20
+	var buf bytes.Buffer
+	zw, _ := flate.NewWriter(&buf, 6)
+	for n := 0; n < total; n += len(slice) {
+		zw.Write(slice)
+		if (n+len(slice))%(256<<10) == 0 {
+			zw.Flush()
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+
+	const spacing = 1 << 20
+	p := NewPipeline(bytes.NewReader(payload), PipelineOptions{
+		Threads:              2,
+		BatchCompressedBytes: 256 << 10,
+		MinChunk:             8 << 10,
+		Sequential:           true,
+	})
+	defer p.Close()
+	var cps []Checkpoint
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := p.RunMemberOpts(MemberRun{
+		Emit:              func([]byte) error { return nil },
+		SkipTo:            math.MaxInt64,
+		ExactCheckpoints:  true,
+		CheckpointSpacing: spacing,
+		OnCheckpoint:      func(cp Checkpoint) error { cps = append(cps, cp); return nil },
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Out != total {
+		t.Fatalf("member out %d, want %d", res.Out, total)
+	}
+	if len(cps) < total/spacing {
+		t.Fatalf("%d checkpoints, want at least %d", len(cps), total/spacing)
+	}
+	want := make([]byte, tracked.WindowSize)
+	for i, cp := range cps {
+		for j := range want {
+			want[j] = 0
+			if at := cp.Out - tracked.WindowSize + int64(j); at >= 0 {
+				want[j] = slice[at%int64(len(slice))]
+			}
+		}
+		if !bytes.Equal(cp.Window, want) {
+			t.Fatalf("checkpoint %d (out %d): window mismatch", i, cp.Out)
+		}
+	}
+	w := p.Work()
+	if w.BitsTried == 0 {
+		t.Fatal("no span was synced: the run never reached symbolic pass 1")
+	}
+	// The checkpoints' windows are 2 MiB; a span decoded in full would
+	// allocate 128 KiB x 130 x 2 bytes of symbols, 32 MiB.
+	alloc := after.TotalAlloc - before.TotalAlloc
+	const bound = 24 << 20
+	if alloc > bound {
+		t.Fatalf("run allocated %d bytes, bound %d (work %+v)", alloc, bound, w)
+	}
+	t.Logf("%d compressed bytes, %d checkpoints, %d bytes allocated, work %+v", len(payload), len(cps), alloc, w)
 }

@@ -52,12 +52,11 @@ type PipelineOptions struct {
 // reads on Window() with RunMember calls. It is not safe for concurrent
 // use.
 type Pipeline struct {
-	win        *srcbuf.Window
-	inner      Options
-	batchBytes int
-	maxWindow  int
-	n          int   // spans in flight
-	span       int64 // compressed bytes per span
+	win       *srcbuf.Window
+	inner     Options
+	maxWindow int
+	n         int   // spans in flight
+	span      int64 // compressed bytes per span
 
 	batches  atomic.Int64
 	outBytes atomic.Int64
@@ -114,12 +113,11 @@ func NewPipeline(r io.Reader, o PipelineOptions) *Pipeline {
 	}
 	spans := max(min(n, batchBytes/inner.MinChunk), 1)
 	return &Pipeline{
-		win:        srcbuf.New(r, o.ReadSize, o.Prefetch),
-		inner:      inner,
-		batchBytes: batchBytes,
-		maxWindow:  maxWindow,
-		n:          spans,
-		span:       int64(batchBytes / spans),
+		win:       srcbuf.New(r, o.ReadSize, o.Prefetch),
+		inner:     inner,
+		maxWindow: maxWindow,
+		n:         spans,
+		span:      int64(batchBytes / spans),
 	}
 }
 
@@ -186,7 +184,8 @@ type MemberRun struct {
 
 	// CheckpointSpacing, with OnCheckpoint set, emits restart points at
 	// least this many output bytes apart: every block boundary is a
-	// candidate in translated chunks, chunk starts in skipped ones.
+	// candidate in chunks decoded in full (translated, or skipped but
+	// symbolic), chunk starts in tail-only ones.
 	// OnCheckpoint runs on the pipeline's goroutine; an error aborts the
 	// run.
 	CheckpointSpacing int64
@@ -194,13 +193,19 @@ type MemberRun struct {
 
 	// ExactCheckpoints makes skipped (translation-free) chunks emit
 	// the same spacing-exact block-boundary checkpoints a translated
-	// chunk would — the zran contract index builds rely on. The run is
-	// then zran's one sequential pass: every chunk is an exact decode of
-	// a whole batch (no block sync, no symbolic decode, nothing
-	// speculated) whose tail-only decode snapshots each selected window
-	// as it passes it; Threads still sizes the batch. Without it,
-	// skipped chunks contribute chunk-start restart points only (cheap,
-	// and all the auto-index needs).
+	// chunk would — the zran contract index builds rely on. Spans are
+	// scheduled as in any run: workers sync them and decode them in
+	// full with a symbolic context, and each due block boundary's window
+	// is resolved from the symbols before it. A worker's span may
+	// expand to at most exactExpansionCap times its compressed bytes (2
+	// bytes a symbol); one that would expand further fails and is taken
+	// over. Chunks the resolver decodes itself (the member start,
+	// take-overs, gaps) are tail-only decodes that snapshot each due
+	// window as they pass it, O(32 KiB) whatever their expansion.
+	// Without workers (Threads or GOMAXPROCS 1) the run is zran's one
+	// sequential exact pass. Without ExactCheckpoints, skipped chunks
+	// decoded tail-only contribute chunk-start restart points only
+	// (cheap, and all the auto-index needs).
 	ExactCheckpoints bool
 }
 
@@ -237,17 +242,13 @@ func (p *Pipeline) RunMemberOpts(mr MemberRun) (MemberResult, error) {
 	}
 	checkpointing := mr.OnCheckpoint != nil && mr.CheckpointSpacing > 0
 	exact := checkpointing && mr.ExactCheckpoints
-	n, span := p.n, p.span
-	if exact {
-		n, span = 1, int64(p.batchBytes)
-	}
 	var extEnd int64
 	if mr.Extent > 0 {
 		extEnd = startBit/8 + mr.Extent
 	}
 	r := &run{
 		o: p.inner, src: &source{win: p.win, maxWindow: p.maxWindow},
-		span: span, n: n, extEnd: extEnd,
+		span: p.span, n: p.n, extEnd: extEnd,
 		emit: mr.Emit, skipTo: mr.SkipTo, exact: exact,
 		emitted: &p.batches, outCounter: &p.outBytes, work: &p.work,
 	}

@@ -89,6 +89,7 @@ type task struct {
 	lo, hi  int64 // absolute byte span; the chunk stops at the first block at or past hi (0: the final block)
 	measure bool  // tail sinks: the span lies wholly below the skip target
 	hint    int   // expected output cells
+	maxOut  int   // output cells past which pass 1 fails (0: no cap)
 
 	data   []byte // pinned source snapshot
 	base   int64  // absolute bit of data[0]
@@ -201,7 +202,7 @@ type run struct {
 	emitted    *atomic.Int64
 	outCounter *atomic.Int64
 	skipTo     int64
-	exact      bool // every chunk an exact capture walk (an index build)
+	exact      bool // every due block boundary a checkpoint (an index build)
 	cpSpacing  int64
 	onCP       func(Checkpoint) error
 	nextCP     int64
@@ -313,7 +314,8 @@ func (r *run) estimate(lo, end int64) int {
 // worst-case expansion before any of the member has decoded (which
 // still always selects measuring passes and index builds, whose target
 // is effectively infinite), and against twice the member's observed
-// expansion after. An exact run measures every chunk while skipping.
+// expansion after. An exact run measures every chunk the resolver
+// decodes while skipping; its workers decode in full (see dispatch).
 func (r *run) shouldMeasure(hi int64) bool {
 	target := r.skipTo - r.out
 	if target <= 0 {
@@ -358,6 +360,13 @@ func (r *run) dispatch(k int64) error {
 		t := &task{lo: lo, hi: hi, done: make(chan struct{})}
 		t.measure = r.shouldMeasure(end)
 		t.hint = r.estimate(lo, end)
+		if r.exact {
+			// Checkpoint windows come from the span's full symbols, whose
+			// memory the cap keeps independent of the stream's expansion.
+			t.measure = false
+			t.maxOut = exactExpansionCap * int(end-lo)
+			t.hint = min(t.hint, t.maxOut)
+		}
 		r.tasks[r.next] = t
 		if r.o.Sequential {
 			continue // run inline when the resolver reaches it
@@ -395,6 +404,13 @@ func (r *run) runTask(t *task) {
 
 var errAbandoned = errors.New("core: task abandoned")
 
+// exactExpansionCap bounds an exact run's pass 1: a span that expands
+// past this many output cells per compressed byte is left to the
+// resolver's tail-only decode.
+const exactExpansionCap = 16
+
+var errExpansionCap = errors.New("core: span expands past the exact run's cap")
+
 // pass1 syncs task t's span to its first confirmed block start and
 // decodes from there with a symbolic context, up to the first block at
 // or past the span end.
@@ -406,7 +422,9 @@ func (r *run) pass1(t *task) (*chunk, error) {
 	if t.hi > 0 {
 		limit = min(limit, t.hi*8-t.base)
 	}
-	bit, err := f.NextBefore(t.data, t.lo*8-t.base, limit)
+	// An inline task reads the window as the resolver left it, which
+	// may already have discarded the bytes before the resolver's bit.
+	bit, err := f.NextBefore(t.data, max(t.lo*8-t.base, 0), limit)
 	r.work.add(Work{BitsTried: f.Stats.BitsTried})
 	r.putFinder(f)
 	if err != nil {
@@ -417,7 +435,7 @@ func (r *run) pass1(t *task) (*chunk, error) {
 		return nil, errAbandoned
 	}
 	t1 := time.Now()
-	opts := tracked.DecodeOptions{RecordSpans: true, SizeHint: t.hint, Cancel: &t.stop}
+	opts := tracked.DecodeOptions{RecordSpans: true, SizeHint: t.hint, MaxOutput: t.maxOut, Cancel: &t.stop}
 	if t.hi > 0 {
 		opts.StopBit = t.hi*8 - t.base
 	}
@@ -429,6 +447,11 @@ func (r *run) pass1(t *task) (*chunk, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if t.maxOut > 0 && res.OutLen >= int64(t.maxOut) {
+		r.work.add(Work{Decoded: res.OutLen})
+		res.Release()
+		return nil, errExpansionCap
 	}
 	c := &chunk{
 		start: t.base + bit, end: t.base + res.EndBit, final: res.Final, base: t.base,
@@ -796,10 +819,11 @@ func (r *run) finish(c *chunk) error {
 }
 
 // checkpoints is the one place a chunk becomes restart points. Its
-// candidates are every block boundary of a chunk whose bytes are known
-// (out), the capture walk's snapshots of a measured exact one, and
-// otherwise the chunk start, whose resolved window is prev. Those at
-// or past r.nextCP are emitted, advancing it by the spacing each time.
+// candidates are every block boundary of a chunk whose bytes (out) or
+// symbols are whole, the capture walk's snapshots of a measured exact
+// one, and otherwise the chunk start, whose resolved window is prev.
+// Those at or past r.nextCP are emitted, advancing it by the spacing
+// each time.
 func (r *run) checkpoints(c *chunk, prev, out []byte) error {
 	due := func(rel int64) bool { return r.out+rel >= r.nextCP }
 	emit := func(bit, rel int64, win []byte) error {
@@ -807,14 +831,18 @@ func (r *run) checkpoints(c *chunk, prev, out []byte) error {
 		return r.onCP(Checkpoint{Bit: bit, Out: r.out + rel, Window: win})
 	}
 	switch {
-	case out != nil:
+	case out != nil || (c.sym != nil && !c.measured):
 		for j, s := range c.spans {
 			at := s.OutStart
 			if !due(at) {
 				continue
 			}
 			win := make([]byte, tracked.WindowSize)
-			shiftWindow(win, prev, out[:at])
+			if out != nil {
+				shiftWindow(win, prev, out[:at])
+			} else if err := tracked.ResolveWindowInto(win, c.sym.Out[:at], prev); err != nil {
+				return err
+			}
 			// A stored block's byte-alignment padding makes a chunk's
 			// candidate start bit ambiguous (stitching verified the decodes
 			// equivalent). A sequential decode, the reference an index is

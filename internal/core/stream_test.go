@@ -12,6 +12,7 @@ type streamResult struct {
 	batches  int
 	outBytes int64
 	endBit   int64
+	work     Work
 }
 
 // streamPayload decodes the raw DEFLATE stream payload as one member
@@ -23,7 +24,7 @@ func streamPayload(payload []byte, o PipelineOptions, emit func([]byte) error) (
 	p := NewPipeline(bytes.NewReader(payload), o)
 	defer p.Close()
 	endBit, err := p.RunMember(emit)
-	return streamResult{p.BatchCount(), p.OutBytes(), endBit}, err
+	return streamResult{p.BatchCount(), p.OutBytes(), endBit, p.Work()}, err
 }
 
 func TestStreamMatchesWholeFile(t *testing.T) {
@@ -147,7 +148,7 @@ func TestStreamSequentialMode(t *testing.T) {
 	data := dna.Random(800_000, 46)
 	payload := mustCompress(t, data, 6)
 	var got []byte
-	_, err := streamPayload(payload, PipelineOptions{
+	res, err := streamPayload(payload, PipelineOptions{
 		Threads:              4,
 		BatchCompressedBytes: 128 << 10,
 		MinChunk:             8 << 10,
@@ -161,5 +162,11 @@ func TestStreamSequentialMode(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("sequential-mode mismatch")
+	}
+	// Inline tasks sync from the window the resolver left, whose bytes
+	// before the resolver's bit are gone: each must still decode its
+	// span symbolically rather than fail and be taken over.
+	if res.work.TakeOvers > 1 {
+		t.Fatalf("%d spans taken over, want at most 1 (work %+v)", res.work.TakeOvers, res.work)
 	}
 }

@@ -19,7 +19,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/flate"
@@ -296,34 +298,51 @@ const (
 
 // Marshal serialises the index. Windows are compressed with the
 // standard library's DEFLATE (level 6), typically shrinking the index
-// ~3x for FASTQ content; any DEFLATE writer's windows load.
+// ~3x for FASTQ content; any DEFLATE writer's windows load. Each window
+// is compressed on its own, so they are deflated on up to GOMAXPROCS
+// goroutines and laid out in order: the blob is the same whatever the
+// parallelism.
 func (ix *Index) Marshal() ([]byte, error) {
-	var win bytes.Buffer
-	zw, err := stdflate.NewWriter(&win, 6)
-	if err != nil {
-		return nil, err
-	}
+	wins := deflateWindows(ix.Checkpoints)
 	var out []byte
 	out = append(out, magic...)
 	out = append(out, version, flagDeflate)
 	out = binary.LittleEndian.AppendUint64(out, uint64(ix.OutSize))
 	out = binary.LittleEndian.AppendUint64(out, uint64(ix.EndBit))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(ix.Checkpoints)))
-	for _, cp := range ix.Checkpoints {
+	for i, cp := range ix.Checkpoints {
 		out = binary.LittleEndian.AppendUint64(out, uint64(cp.Bit))
 		out = binary.LittleEndian.AppendUint64(out, uint64(cp.Out))
-		win.Reset()
-		zw.Reset(&win)
-		if _, err := zw.Write(cp.Window); err != nil {
-			return nil, err
-		}
-		if err := zw.Close(); err != nil {
-			return nil, err
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(win.Len()))
-		out = append(out, win.Bytes()...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(wins[i])))
+		out = append(out, wins[i]...)
 	}
 	return out, nil
+}
+
+// deflateWindows compresses each checkpoint's window at level 6 on
+// min(GOMAXPROCS, len(cps)) goroutines, one writer each, taking
+// windows in turn from a shared counter.
+func deflateWindows(cps []Checkpoint) [][]byte {
+	wins := make([][]byte, len(cps))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(cps)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Level 6 is valid, and a writer into a bytes.Buffer cannot fail.
+			zw, _ := stdflate.NewWriter(nil, 6)
+			for i := next.Add(1) - 1; i < int64(len(cps)); i = next.Add(1) - 1 {
+				var buf bytes.Buffer
+				zw.Reset(&buf)
+				zw.Write(cps[i].Window)
+				zw.Close()
+				wins[i] = buf.Bytes()
+			}
+		}()
+	}
+	wg.Wait()
+	return wins
 }
 
 // maxBytesPerBit is DEFLATE's best case: a 258-byte match behind a

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gzindex"
 )
 
 // The shape x surface x threads matrix: every input shape the engine
@@ -53,7 +54,8 @@ type matrixShape struct {
 	name  string
 	gz    []byte
 	plain []byte
-	first int // decompressed size of the first member (what an index covers)
+	first int    // decompressed size of the first member (what an index covers)
+	index []byte // the sequential reference index of the first member, marshalled
 }
 
 // jsonlText is seeded JSON-lines log text.
@@ -151,14 +153,18 @@ func matrixShapes(t *testing.T) []matrixShape {
 	// final one) expanding ~1000x.
 	line := []byte("@read ACGTTGCAACGTAGCTAGCTAGGATCCGATCGATCGTAGCTAGCTAGCATGCA+\n")
 	block := bytes.Repeat(line, size/len(line))
-	return []matrixShape{
-		{"text", gzipLevel(t, text, 6), text, size},
-		{"binary", gzipLevel(t, bin, 6), bin, size},
-		{"stored", gzipLevel(t, stored, 0), stored, len(stored)},
-		{"bgzf", bgzfStd(t, text), text, 0xff00},
-		{"members", members, text, piece},
-		{"block", gzipLevel(t, block, 6), block, len(block)},
+	shapes := []matrixShape{
+		{"text", gzipLevel(t, text, 6), text, size, nil},
+		{"binary", gzipLevel(t, bin, 6), bin, size, nil},
+		{"stored", gzipLevel(t, stored, 0), stored, len(stored), nil},
+		{"bgzf", bgzfStd(t, text), text, 0xff00, nil},
+		{"members", members, text, piece, nil},
+		{"block", gzipLevel(t, block, 6), block, len(block), nil},
 	}
+	for i := range shapes {
+		shapes[i].index = slurpIndexBlob(t, shapes[i].gz, gzindex.DefaultSpacing)
+	}
+	return shapes
 }
 
 // matrixSurface runs one surface over gz and returns the bytes it
@@ -187,9 +193,8 @@ var matrixSurfaces = []matrixSurface{
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		got := binary.LittleEndian.AppendUint64(nil, uint64(ix.Size()))
-		want := binary.LittleEndian.AppendUint64(nil, uint64(sh.first))
-		return got, want, int64(sh.first), nil
+		got, err := ix.Marshal()
+		return got, sh.index, int64(sh.first), err
 	}},
 	{"File.Size", func(sh matrixShape, threads int) ([]byte, []byte, int64, error) {
 		f, err := NewFile(bytes.NewReader(sh.gz), int64(len(sh.gz)), FileOptions{Threads: threads})

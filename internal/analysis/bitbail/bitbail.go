@@ -3,7 +3,9 @@
 // cell type, and any other decodeFast* function), a fastBail return
 // must leave the bit reader positioned at the start of the offending
 // token so the scalar loop re-decodes it canonically. That means no Consume call may execute
-// for the current token before a bail return.
+// for the current token before a bail return. Consume is matched by
+// name, so the kernel's by-value bitio.Cursor (c = c.Consume(k)) is
+// checked like a *bitio.Reader.
 //
 // The check walks backward from each bail return through the
 // statements that must have executed before it, stopping at the

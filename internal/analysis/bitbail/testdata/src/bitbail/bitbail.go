@@ -5,7 +5,8 @@
 // token was emitted), EOB consumes its own code. The bad kernels
 // consume speculatively before validating. Each shape comes twice,
 // plain and type-parameterised over the cell type like the real
-// kernel, so the analyzer provably checks generic bodies too.
+// kernel, so the analyzer provably checks generic bodies too, and once
+// more over a by-value cursor, the real kernel's bit-position form.
 package bitbail
 
 type reader struct{ bits int }
@@ -142,6 +143,77 @@ func decodeFastGenericBad[E byte | uint16](r *reader, out []E, w int) (int, stat
 			return w, fastBail // want `bail return after bits were consumed`
 		}
 		out[w] = E(r.Acc())
+		w++
+	}
+}
+
+// cursor is the by-value bit position the real kernel keeps in locals
+// (bitio.Cursor): Consume returns the advanced copy, and the reader
+// only sees it at Commit.
+type cursor struct {
+	acc  uint64
+	bits int
+}
+
+func (r *reader) Cursor() cursor      { return cursor{bits: r.bits} }
+func (r *reader) Commit(c cursor)     { r.bits = c.bits }
+func (c cursor) Refill() cursor       { return c }
+func (c cursor) Bits() int            { return c.bits }
+func (c cursor) Acc() uint64          { return c.acc }
+func (c cursor) Consume(n int) cursor { c.bits -= n; return c }
+
+// decodeFastCursorGood is the real kernel's cursor form: every bail
+// commits and returns before its token's Consume, and a token that was
+// fully emitted consumes its bits, refills and decodes on.
+func decodeFastCursorGood(r *reader, out []byte, w, maxW int) (int, status) {
+	c := r.Cursor()
+	for {
+		c = c.Refill()
+		if c.Bits() < 48 || w >= maxW {
+			r.Commit(c)
+			return w, statusMore
+		}
+		x := c.Acc()
+		switch x & 3 {
+		case 0: // literal: emitted, then consumed
+			out[w] = byte(x)
+			w++
+			c = c.Consume(8)
+		case 1: // match: validated before its consume
+			if x&4 != 0 {
+				r.Commit(c)
+				return w, fastBail
+			}
+			c = c.Consume(24).Refill()
+			w += 3
+			continue
+		case 2:
+			c = c.Consume(8)
+			r.Commit(c)
+			return w, statusEOB
+		default:
+			r.Commit(c)
+			return w, fastBail
+		}
+		c = c.Refill()
+	}
+}
+
+// decodeFastCursorBad consumes into the cursor before validating: the
+// commit then hands the scalar loop a position past the token.
+func decodeFastCursorBad(r *reader, w int) (int, status) {
+	c := r.Cursor()
+	for {
+		c = c.Refill()
+		if c.Bits() < 48 {
+			r.Commit(c)
+			return w, statusMore
+		}
+		c = c.Consume(8)
+		if c.Acc()&1 != 0 {
+			r.Commit(c)
+			return w, fastBail // want `bail return after bits were consumed`
+		}
 		w++
 	}
 }

@@ -344,15 +344,21 @@ func TestRefillNearEOF(t *testing.T) {
 // TestRefillPrimitives checks the fast-loop contract: after Refill,
 // Bits() >= 56 away from EOF (and exactly the remaining count near
 // it), Acc() exposes the same bits Peek reports, and Consume moves
-// BitPos exactly like Drop.
+// BitPos exactly like Drop. A Cursor driven alongside matches the
+// Reader at every step, and committing it moves the Reader to it.
 func TestRefillPrimitives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 256)
 	rng.Read(data)
 	r := NewReader(data)
+	c := r.Cursor()
 	total := int64(len(data)) * 8
 	for r.Len() > 0 {
 		r.Refill()
+		c = c.Refill(data)
+		if rc := r.Cursor(); c != rc {
+			t.Fatalf("BitPos %d: cursor %+v, reader's %+v", r.BitPos(), c, rc)
+		}
 		remaining := total - r.BitPos()
 		if remaining >= 56 && r.Bits() < 56 {
 			t.Fatalf("BitPos %d: Refill left only %d bits", r.BitPos(), r.Bits())
@@ -360,7 +366,7 @@ func TestRefillPrimitives(t *testing.T) {
 		if remaining < 56 && int64(r.Bits()) != remaining {
 			t.Fatalf("BitPos %d: Bits %d want %d at tail", r.BitPos(), r.Bits(), remaining)
 		}
-		if got, want := uint32(r.Acc())&0xffff, r.Peek(16); got != want {
+		if got, want := uint32(c.Acc())&0xffff, r.Peek(16); got != want {
 			t.Fatalf("BitPos %d: Acc low bits %#x, Peek %#x", r.BitPos(), got, want)
 		}
 		n := uint(1 + rng.Intn(48))
@@ -372,6 +378,12 @@ func TestRefillPrimitives(t *testing.T) {
 		if got := r.BitPos(); got != before+int64(n) {
 			t.Fatalf("Consume(%d) moved BitPos %d -> %d", n, before, got)
 		}
+		c = c.Consume(n)
+	}
+	r = NewReader(data)
+	r.Commit(r.Cursor().Refill(data).Consume(13))
+	if got, err := r.Take(8); err != nil || r.BitPos() != 21 || got != (uint32(data[1])>>5|uint32(data[2])<<3)&0xff {
+		t.Fatalf("after Commit: Take(8) = %#x, %v at BitPos %d", got, err, r.BitPos())
 	}
 }
 

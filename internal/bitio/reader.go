@@ -75,18 +75,9 @@ func (r *Reader) Reset(bitOffset int64) error {
 	return nil
 }
 
-// refill tops up the accumulator with whole bytes. Away from the end
-// of the input it loads eight bytes at once and advances the byte
-// cursor by however many whole bytes fit: with n valid bits the load
-// contributes bits n..63, of which floor((64-n)/8) = (63-n)>>3 whole
-// bytes are newly accounted, leaving n' = n|56 (n mod 8 is preserved,
-// so byte alignment and BitPos are bit-exact). The bits above n' in
-// the accumulator are the correct continuation of the stream — the
-// next refill re-ORs the same values, so they are harmless and every
-// consumer masks to the bits it asked for.
-//
-// Within 8 bytes of the end the slow byte-at-a-time loop takes over,
-// so the reader never loads past len(data).
+// refill tops up the accumulator exactly as Cursor.Refill does, kept
+// in pointer form so it stays small enough to inline into Peek, Take
+// and the other scalar-path methods.
 func (r *Reader) refill() {
 	if r.n >= 56 {
 		return
@@ -108,24 +99,89 @@ func (r *Reader) refillSlow() {
 	}
 }
 
-// Refill tops up the accumulator. After the call, Bits() >= 56 unless
-// fewer bits than that remain in the input. This is the fast-loop
-// entry point: one Refill covers a worst-case DEFLATE token
-// (litlen code + extra + dist code + extra <= 48 bits).
-func (r *Reader) Refill() { r.refill() }
+// Cursor is a Reader's bit position by value: the accumulator, its
+// valid bit count and the byte cursor, with no pointer to go through.
+// A hot loop takes one with Reader.Cursor, keeps it in a local (so the
+// three fields can live in registers), advances it with the value
+// methods below, and hands it back with Reader.Commit before the
+// Reader is used again.
+type Cursor struct {
+	acc uint64 // bit accumulator, next bit is LSB
+	n   uint   // number of valid bits in acc
+	pos int    // index of next byte to load into acc
+}
 
-// Bits returns the number of valid buffered bits in the accumulator.
-func (r *Reader) Bits() uint { return r.n }
+// Cursor returns the reader's current position.
+func (r *Reader) Cursor() Cursor { return Cursor{r.acc, r.n, r.pos} }
+
+// Commit moves the reader to c, a Cursor taken from r and advanced
+// over r's own data.
+func (r *Reader) Commit(c Cursor) { r.acc, r.n, r.pos = c.acc, c.n, c.pos }
+
+// Refill tops up the accumulator with whole bytes of data, the slice
+// the cursor was taken over. Away from the end of the input it loads
+// eight bytes at once and advances the byte cursor by however many
+// whole bytes fit: with n valid bits the load contributes bits n..63,
+// of which floor((64-n)/8) = (63-n)>>3 whole bytes are newly
+// accounted, leaving n' = n|56 (n mod 8 is preserved, so byte
+// alignment and BitPos are bit-exact). The bits above n' in the
+// accumulator are the correct continuation of the stream — the next
+// refill re-ORs the same values, so they are harmless and every
+// consumer masks to the bits it asked for.
+//
+// Within 8 bytes of the end the slow byte-at-a-time loop takes over,
+// so the cursor never loads past len(data).
+func (c Cursor) Refill(data []byte) Cursor {
+	if c.n >= 56 {
+		return c
+	}
+	if c.pos+8 <= len(data) {
+		c.acc |= binary.LittleEndian.Uint64(data[c.pos:]) << c.n
+		c.pos += int((63 - c.n) >> 3)
+		c.n |= 56
+		return c
+	}
+	return c.refillSlow(data)
+}
+
+func (c Cursor) refillSlow(data []byte) Cursor {
+	for c.n <= 56 && c.pos < len(data) {
+		c.acc |= uint64(data[c.pos]) << c.n
+		c.pos++
+		c.n += 8
+	}
+	return c
+}
+
+// Consume discards count buffered bits with no underflow check; the
+// caller guarantees count <= Bits().
+func (c Cursor) Consume(count uint) Cursor {
+	c.acc >>= count
+	c.n -= count
+	return c
+}
 
 // Acc returns the accumulator: the next Bits() unread bits of the
 // stream, LSB-first. Bits at positions >= Bits() are either zero or
 // the correct continuation of the stream (never garbage), so callers
 // that mask to at most Bits() bits are exact.
-func (r *Reader) Acc() uint64 { return r.acc }
+func (c Cursor) Acc() uint64 { return c.acc }
+
+// Bits returns the number of valid buffered bits.
+func (c Cursor) Bits() uint { return c.n }
+
+// Refill tops up the accumulator. After the call, Bits() >= 56 unless
+// fewer bits than that remain in the input: one Refill covers a
+// worst-case DEFLATE token (litlen code + extra + dist code + extra
+// <= 48 bits), which is how a window sink tells whether the fast loop
+// can run.
+func (r *Reader) Refill() { r.refill() }
+
+// Bits returns the number of valid buffered bits in the accumulator.
+func (r *Reader) Bits() uint { return r.n }
 
 // Consume discards count buffered bits with no underflow check. The
-// caller must guarantee count <= Bits(); the fast decode loops do so
-// by requiring Bits() >= 48 before decoding a token.
+// caller must guarantee count <= Bits().
 func (r *Reader) Consume(count uint) {
 	r.acc >>= count
 	r.n -= count

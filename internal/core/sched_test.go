@@ -21,9 +21,9 @@ func speculating(t *testing.T) {
 }
 
 // balanced records the goroutine count and the pooled windows taken
-// before a run; check asserts that, right after the run returned, no
-// goroutine of it is left beyond the extra ones allowed (the source
-// reader of a pipeline not yet closed) and every pooled window is back.
+// before a run; check asserts that, once the run returned, no goroutine
+// of it is left beyond the extra ones allowed (the source reader of a
+// pipeline not yet closed) and every pooled window is back.
 type balanced struct {
 	goroutines int
 	windows    int64
@@ -35,11 +35,9 @@ func startBalance() balanced {
 
 func (b balanced) check(t *testing.T, what string, extra int) {
 	t.Helper()
-	if n := runtime.NumGoroutine(); n > b.goroutines+extra {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("%s: %d goroutines after the run, %d before (+%d allowed)\n%s",
-			what, n, b.goroutines, extra, buf[:runtime.Stack(buf, true)])
-	}
+	// A worker that has called wg.Done may still be on its way out
+	// when the run returns.
+	settle(t, what, b.goroutines+extra)
 	if w := tracked.WindowsOut(); w != b.windows {
 		t.Fatalf("%s: %d pooled windows out after the run, %d before", what, w, b.windows)
 	}
@@ -50,9 +48,10 @@ func (b balanced) check(t *testing.T, what string, extra int) {
 func settle(t *testing.T, what string, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), base)
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, want at most %d\n%s", what, n, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -58,8 +58,8 @@ func TestDecompressSizedHint(t *testing.T) {
 	}
 	var got []byte
 	alloc := allocBytes(func() { got, _, err = DecompressSized(payload, len(data)) })
-	if err != nil || cap(got) != len(data)+fastSlack {
-		t.Fatalf("exact hint: err=%v, cap %d, want %d (no growth)", err, cap(got), len(data)+fastSlack)
+	if err != nil || cap(got) != len(data)+FastSlack {
+		t.Fatalf("exact hint: err=%v, cap %d, want %d (no growth)", err, cap(got), len(data)+FastSlack)
 	}
 	// The rest is a decoder's tables (~57 KiB), rebuilt when a
 	// collection has emptied the decoder pool.
@@ -85,7 +85,7 @@ func TestGrowStopsAtLimit(t *testing.T) {
 	if got := sink.Output(); !bytes.Equal(got, data[:len(got)]) || len(got) < limit {
 		t.Fatalf("limited decode: %d bytes, prefix equal=%v", len(got), bytes.Equal(got, data[:len(got)]))
 	}
-	if c := cap(sink.Out); c > limit+fastSlack {
-		t.Fatalf("cap %d past limit room %d", c, limit+fastSlack)
+	if c := cap(sink.Out); c > limit+FastSlack {
+		t.Fatalf("cap %d past limit room %d", c, limit+FastSlack)
 	}
 }

@@ -267,6 +267,146 @@ func TestFastScalarParityRandomInputs(t *testing.T) {
 	runParity(t, cases)
 }
 
+// periodicLengths are the match lengths the periodic cases use: each
+// side of the kernel's one- and two-step over-copy and of the longer
+// 8-cell steps, up to DEFLATE's maximum.
+var periodicLengths = []int{3, 7, 8, 9, 15, 16, 17, 24, 25, 100, 249, 256, 257, MaxMatch}
+
+// distinct is n distinct literals.
+func distinct(n int) []tok {
+	toks := make([]tok, n, n+1)
+	for i := range toks {
+		toks[i].lit = byte('a' + i)
+	}
+	return toks
+}
+
+// periodicRun is p distinct literals and one match of length cells at
+// distance p: a run of period p, the shape whose distance straddles
+// the kernel's 8-cell over-copy threshold.
+func periodicRun(p, length int) []tok {
+	return append(distinct(p), tok{length: length, dist: p})
+}
+
+// leadIn is a period-16 run decoding to n >= 19 bytes, so the token
+// after it starts at output offset n.
+func leadIn(n int) []tok {
+	toks := distinct(16)
+	for rem := n - 16; rem > 0; {
+		k := min(rem, MaxMatch)
+		if rem-k > 0 && rem-k < 3 {
+			k = rem - 3
+		}
+		toks = append(toks, tok{length: k, dist: 16})
+		rem -= k
+	}
+	return toks
+}
+
+// expand returns the bytes toks decode to.
+func expand(toks []tok) []byte {
+	var out []byte
+	for _, tk := range toks {
+		if tk.length == 0 {
+			out = append(out, tk.lit)
+		}
+		for i := 0; i < tk.length; i++ {
+			out = append(out, out[len(out)-tk.dist])
+		}
+	}
+	return out
+}
+
+// TestFastScalarParityPeriodic pins runs of period 1-16 to the scalar
+// loop, each ending exactly at a sink's write bound:
+//   - a Limit at the match's last cell (and one before it), with a
+//     literal and a second run after it, so cells an over-copy wrote
+//     past the first match's end are overwritten and checked;
+//   - a stream whose output ends with the match, which must also
+//     decode into its exact ISIZE presize without growing it;
+//   - the longest matches starting where the kernel last may before a
+//     sink's capacity bound, at maxW-1: offset FastSlack+1 in a Linear
+//     sink grown from empty (its second capacity, 2*FastSlack), and
+//     offset WindowSize-9 in a Sliding sink (its slideAt-9 cell), and
+//     4 and 8 cells later, where the kernel must stop first.
+func TestFastScalarParityPeriodic(t *testing.T) {
+	var cases []parityCase
+	for p := 1; p <= 16; p++ {
+		for _, length := range periodicLengths {
+			toks := periodicRun(p, length)
+			name := fmt.Sprintf("period %d length %d", p, length)
+			payload, plain := fixedBlock(toks, true), expand(toks)
+			got, _, err := DecompressSized(payload, len(plain))
+			if err != nil || !bytes.Equal(got, plain) || cap(got) != len(plain)+FastSlack {
+				t.Fatalf("%s: DecompressSized err=%v, output equal=%v, cap %d want %d (no growth)",
+					name, err, bytes.Equal(got, plain), cap(got), len(plain)+FastSlack)
+			}
+			cases = append(cases, newCorpus(t, name, payload).from(-1))
+
+			toks = append(toks, tok{lit: '#'}, tok{length: length, dist: p + 1})
+			cp := newCorpus(t, name+" then more", fixedBlock(toks, true))
+			for _, base := range []parityCase{cp.from(-1), cp.from(0)} {
+				for _, limit := range []int64{0, int64(p + length), int64(p + length - 1)} {
+					c := base
+					c.limit = limit
+					c.name = fmt.Sprintf("%s limit %d", base.name, limit)
+					cases = append(cases, c)
+				}
+			}
+		}
+		for _, at := range []int{FastSlack + 1, WindowSize - 9, WindowSize - 5, WindowSize - 1} {
+			for _, length := range []int{257, MaxMatch} {
+				toks := append(leadIn(at), tok{length: length, dist: p})
+				// Trailing literals keep fastMinBits buffered past the match.
+				for i := 0; i < 8; i++ {
+					toks = append(toks, tok{lit: '.'})
+				}
+				cp := newCorpus(t, fmt.Sprintf("period %d length %d at %d", p, length, at), fixedBlock(toks, true))
+				cases = append(cases, cp.from(-1), cp.from(0))
+			}
+		}
+	}
+	runParity(t, cases)
+}
+
+// TestFastKernelWriteBound runs the kernel over a buffer exactly as
+// long as its contract asks, len(out) = maxW-1+MaxMatch+7, with every
+// periodic match starting at maxW-1: an over-copy that wrote past the
+// bound would panic.
+func TestFastKernelWriteBound(t *testing.T) {
+	t.Run("byte", writeBound[byte])
+	t.Run("uint16", writeBound[uint16])
+}
+
+func writeBound[E Cell](t *testing.T) {
+	lit, dist := fixedFastTables()
+	for p := 1; p <= 16; p++ {
+		for _, length := range periodicLengths {
+			toks := periodicRun(p, length)
+			plain := expand(toks)
+			// Trailing literals keep fastMinBits buffered past the match.
+			for i := 0; i < 8; i++ {
+				toks = append(toks, tok{lit: '.'})
+			}
+			r, err := bitio.NewReaderAt(fixedBlock(toks, true), 3) // past the block header
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxW := p + 1
+			out := make([]E, maxW-1+MaxMatch+7)
+			w, st := decodeFast(r, lit, dist, out, 0, maxW, 0)
+			if w != len(plain) || st != fastMore {
+				t.Fatalf("period %d length %d: kernel stopped at %d (status %d), want %d", p, length, w, st, len(plain))
+			}
+			for i, b := range plain {
+				if out[i] != E(b) {
+					t.Fatalf("period %d length %d: cell %d is %d, want %d", p, length, i, out[i], b)
+				}
+			}
+		}
+	}
+}
+
 // TestFastScalarParityHalts checks that Limit and StopBit halts land on
 // the same cell and bit on both paths: limits of 1, 2 and 3 cells
 // (inside a packed literal pair), in the middle of a match, around one
@@ -428,7 +568,7 @@ func TestFastErrorParity(t *testing.T) {
 	}
 	// A match reaching before the stream start must yield
 	// ErrDistanceTooFar on both paths (fixed block, dist 1 at offset 0).
-	bad := fixedBlockMatchBeforeStart(t)
+	bad := fixedBlock([]tok{{length: 3, dist: 1}}, true)
 	for _, noFast := range []bool{false, true} {
 		_, err := (&testDecode{noFast: noFast, track: true}).run(bad)
 		if !errors.Is(err, ErrDistanceTooFar) {
@@ -456,34 +596,4 @@ func (td *testDecode) run(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	return sink.Out, nil
-}
-
-// fixedBlockMatchBeforeStart hand-assembles a final fixed block whose
-// first token is a match (length 3, distance 1) with no prior output.
-func fixedBlockMatchBeforeStart(t *testing.T) []byte {
-	t.Helper()
-	var bits []uint8 // one entry per bit, LSB-first stream order
-	push := func(v uint32, n uint, msbFirst bool) {
-		for i := uint(0); i < n; i++ {
-			var b uint8
-			if msbFirst {
-				b = uint8(v >> (n - 1 - i) & 1)
-			} else {
-				b = uint8(v >> i & 1)
-			}
-			bits = append(bits, b)
-		}
-	}
-	push(1, 1, false)      // BFINAL
-	push(1, 2, false)      // BTYPE fixed
-	push(257-256, 7, true) // length symbol 257 (code 0000001): 7-bit code
-	// 257 has code value 0b0000001? Fixed tree: syms 256..279 are 7-bit
-	// codes 0000000..0010111; 257 -> 0000001, sent MSB-first.
-	push(0, 5, true) // distance symbol 0 (5-bit code 00000): dist 1
-	push(0, 7, true) // end of block (code 0000000)
-	out := make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		out[i/8] |= b << (i % 8)
-	}
-	return out
 }

@@ -114,34 +114,73 @@ func TestEmptyStream(t *testing.T) {
 	}
 }
 
-// buildBlock writes a hand-crafted block via bitio for validation
-// tests.
+// fixedBlockWith hand-encodes literals as one fixed-Huffman block.
 func fixedBlockWith(t *testing.T, literals []byte, final bool) []byte {
 	t.Helper()
-	// Easiest correct fixed-block writer: use the stdlib at
-	// HuffmanOnly... but we need exact control; craft manually using
-	// the RFC fixed code for literals < 144: 8 bits, codes 0x30+lit.
-	w := bitio.NewWriter(64)
+	toks := make([]tok, len(literals))
+	for i, b := range literals {
+		toks[i].lit = b
+	}
+	return fixedBlock(toks, final)
+}
+
+// tok is one hand-placed DEFLATE token: a literal when length is 0,
+// else a match of length cells at distance dist.
+type tok struct {
+	lit          byte
+	length, dist int
+}
+
+// fixedBlock encodes toks and an end-of-block code as one block with
+// the fixed Huffman codes (RFC 1951 3.2.6), so a test decides every
+// literal, length and distance the decoder sees.
+func fixedBlock(toks []tok, final bool) []byte {
+	w := bitio.NewWriter(4*len(toks) + 8)
 	if final {
 		w.WriteBits(1, 1)
 	} else {
 		w.WriteBits(0, 1)
 	}
 	w.WriteBits(1, 2) // fixed
-	rev := func(v uint32, n uint) uint32 {
+	// Huffman codes go MSB-first, the reverse of the bit order.
+	code := func(v uint32, n uint) {
 		var r uint32
 		for i := uint(0); i < n; i++ {
 			r = r<<1 | (v>>i)&1
 		}
-		return r
+		w.WriteBits(r, n)
 	}
-	for _, b := range literals {
-		if b > 143 {
-			t.Fatal("test helper handles literals < 144 only")
+	sym := func(s int) {
+		switch {
+		case s < 144:
+			code(0x30+uint32(s), 8)
+		case s < 256:
+			code(0x190+uint32(s-144), 9)
+		case s < 280:
+			code(uint32(s-256), 7)
+		default:
+			code(0xc0+uint32(s-280), 8)
 		}
-		w.WriteBits(rev(0x30+uint32(b), 8), 8)
 	}
-	w.WriteBits(rev(0, 7), 7) // end of block: 7-bit code 0
+	for _, tk := range toks {
+		if tk.length == 0 {
+			sym(int(tk.lit))
+			continue
+		}
+		i := len(lengthBase) - 1
+		for int(lengthBase[i]) > tk.length {
+			i--
+		}
+		sym(257 + i)
+		w.WriteBits(uint32(tk.length-int(lengthBase[i])), uint(lengthExtra[i]))
+		j := len(distBase) - 1
+		for int(distBase[j]) > tk.dist {
+			j--
+		}
+		code(uint32(j), 5)
+		w.WriteBits(uint32(tk.dist-int(distBase[j])), uint(distExtra[j]))
+	}
+	sym(256)
 	return w.Bytes()
 }
 

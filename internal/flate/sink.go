@@ -199,11 +199,11 @@ func (s *Linear[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
 		if fc.R.Bits() < fastMinBits {
 			return int64(len(s.Out) - n0), false, nil
 		}
-		if cap(s.Out)-len(s.Out) < fastSlack {
+		if cap(s.Out)-len(s.Out) < FastSlack {
 			s.grow()
 		}
 		w0 := len(s.Out)
-		maxW := cap(s.Out) - MaxMatch
+		maxW := cap(s.Out) - FastSlack + 2
 		if s.Limit > 0 {
 			maxW = min(maxW, w0+int(s.Limit-s.Len()))
 		}
@@ -220,13 +220,13 @@ func (s *Linear[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
 
 // grow at least doubles Out's capacity (append's 1.25x steps on large
 // slices copied each cell ~4 times), stopping at the room a Limit can
-// use. Presized sinks (cap >= len + fastSlack throughout) never get here.
+// use. Presized sinks (cap >= len + FastSlack throughout) never get here.
 func (s *Linear[E]) grow() {
 	n := 2 * cap(s.Out)
 	if s.Limit > 0 {
-		n = min(n, s.Prefix+int(s.Limit)+fastSlack)
+		n = min(n, s.Prefix+int(s.Limit)+FastSlack)
 	}
-	grown := make([]E, len(s.Out), max(n, len(s.Out)+fastSlack))
+	grown := make([]E, len(s.Out), max(n, len(s.Out)+FastSlack))
 	copy(grown, s.Out)
 	s.Out = grown
 }
@@ -260,7 +260,7 @@ func DecompressRecorded(data []byte, startBit int64, record bool) ([]byte, []Blo
 func DecompressSized(data []byte, sizeHint int) ([]byte, int64, error) {
 	sink := &ByteSink{}
 	if sizeHint > 0 {
-		sink.Out = make([]byte, 0, sizeHint+fastSlack)
+		sink.Out = make([]byte, 0, sizeHint+FastSlack)
 	}
 	endBit, err := decodeWhole(data, 0, sink)
 	if err != nil {

@@ -94,7 +94,7 @@ func (s *Sliding[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
 		if fc.R.Bits() < fastMinBits {
 			return s.total - t0, false, nil
 		}
-		s.slide(fastSlack)
+		s.slide(FastSlack)
 		w0 := len(s.Buf)
 		minSrc := 0
 		if fc.Track {
@@ -102,7 +102,7 @@ func (s *Sliding[E]) FastTokens(fc *FastCtx) (int64, bool, error) {
 			// drops it from the buffer.
 			minSrc = max(w0-int(s.total), 0)
 		}
-		maxW := slideAt // cap is SlidingCap: in budget
+		maxW := SlidingCap - FastSlack + 2
 		if s.Limit > 0 {
 			maxW = min(maxW, w0+int(s.Limit-s.total))
 		}

@@ -227,7 +227,7 @@ func (ix *Index) inflate(i int, src Source, need int64, buf *[]byte) ([]byte, er
 		hist = hist[int64(len(hist))-cp.Out:]
 	}
 	s := &spanSink{endBit: endBit - lo*8, spanLen: endOut - cp.Out, need: need}
-	if room := len(hist) + int(min(s.spanLen, need+blockSlack)) + flate.MaxMatch + 2; cap(*buf) < room {
+	if room := len(hist) + int(min(s.spanLen, need+blockSlack)) + flate.FastSlack; cap(*buf) < room {
 		*buf = make([]byte, 0, room)
 	}
 	s.Out = append((*buf)[:0], hist...)

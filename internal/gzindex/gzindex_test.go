@@ -236,7 +236,7 @@ func TestInflateFullSpanKeepsPresizedBuffer(t *testing.T) {
 		if err != nil || !bytes.Equal(out, data[cp.Out:end]) {
 			t.Fatalf("span %d: err=%v, output equal=%v", i, err, bytes.Equal(out, data[cp.Out:end]))
 		}
-		if room := hist + int(span) + flate.MaxMatch + 2; cap(buf) != room {
+		if room := hist + int(span) + flate.FastSlack; cap(buf) != room {
 			t.Fatalf("span %d: buffer cap %d, want the presized %d", i, cap(buf), room)
 		}
 		if cap(out) != cap(buf)-hist || &out[0] != &buf[hist] {

@@ -14,7 +14,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/gzindex"
 	"repro/internal/gzipx"
 )
@@ -216,14 +218,23 @@ func TestIndexFromReaderBoundedMemory(t *testing.T) {
 	// workers and the build is one sequential exact pass. The spans are
 	// 1 MiB: a 64 KiB one takes the resolver's tail-only walk ~1 ms,
 	// and a worker's block sync alone ~5 ms, so at the pipe build's
-	// geometry the resolver takes over nearly every span.
+	// geometry the resolver takes over nearly every span. Under load
+	// the resolver can reach a span before any worker gets a processor,
+	// so the claim hook holds each claim until the span's worker is
+	// past its sync: what is measured is the work, not the race.
 	if runtime.GOMAXPROCS(0) > 1 {
 		const span = 1 << 20
+		restore := core.SetClaimHook(func(synced func() bool) {
+			for !synced() {
+				time.Sleep(50 * time.Microsecond)
+			}
+		})
 		_, st, err := buildIndexStream(bytes.NewReader(gz), 256<<10, StreamOptions{
 			Threads:              4,
 			BatchCompressedBytes: 4 * span,
 			MinChunk:             16 << 10,
 		})
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -480,17 +480,49 @@ func (r *run) claim(t *task) *chunk {
 			t.c, t.err = r.pass1(t)
 			close(t.done)
 		}
-	} else if t.state.CompareAndSwap(taskQueued, taskAbandoned) ||
-		t.state.CompareAndSwap(taskSyncing, taskAbandoned) {
-		t.stop.Store(true)
-		r.work.add(Work{TakeOvers: 1})
-		return nil
+	} else {
+		if hook := claimHook.Load(); hook != nil {
+			(*hook)(t.synced)
+		}
+		if t.state.CompareAndSwap(taskQueued, taskAbandoned) ||
+			t.state.CompareAndSwap(taskSyncing, taskAbandoned) {
+			t.stop.Store(true)
+			r.work.add(Work{TakeOvers: 1})
+			return nil
+		}
 	}
 	r.await(t)
 	if t.err != nil {
 		r.work.add(Work{TakeOvers: 1})
 	}
 	return t.c
+}
+
+// claimHook, when set, runs before claim may abandon a worker's task.
+// Nil in production; see SetClaimHook.
+var claimHook atomic.Pointer[func(synced func() bool)]
+
+// SetClaimHook makes claim call f, which must not be nil, before it
+// may abandon a worker's task, and returns a func that restores the
+// previous hook. synced reports whether the task's worker is past its
+// block sync: the task left the queued and syncing states, or ended. A
+// hook that waits for it orders every claim behind its worker's sync,
+// for tests that assert what workers contribute; set it only while no
+// decode runs.
+func SetClaimHook(f func(synced func() bool)) (restore func()) {
+	prev := claimHook.Swap(&f)
+	return func() { claimHook.Store(prev) }
+}
+
+// synced reports whether task t's worker is past its block sync.
+func (t *task) synced() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+	}
+	s := t.state.Load()
+	return s != taskQueued && s != taskSyncing
 }
 
 // await waits for task t to finish. Rather than idle meanwhile, the

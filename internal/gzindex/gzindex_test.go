@@ -2,8 +2,10 @@ package gzindex
 
 import (
 	"bytes"
+	stdflate "compress/flate"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/deflate"
@@ -141,16 +143,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalOwnDeflateWindows: sidecars whose windows were
-// compressed by this repository's own DEFLATE writer (how Marshal wrote
-// them before it used the standard library) must still load and serve
-// reads: the format records only that windows are deflated.
-func TestUnmarshalOwnDeflateWindows(t *testing.T) {
-	payload, data := fixture(t, 10000, 6)
-	ix, err := Build(payload, 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
+// v1Blob serialises ix as a v1 sidecar whose windows compress wrote,
+// laid out as Marshal lays them out.
+func v1Blob(t *testing.T, ix *Index, compress func([]byte) ([]byte, error)) []byte {
+	t.Helper()
 	blob := append([]byte(magic), version, flagDeflate)
 	blob = binary.LittleEndian.AppendUint64(blob, uint64(ix.OutSize))
 	blob = binary.LittleEndian.AppendUint64(blob, uint64(ix.EndBit))
@@ -158,13 +154,20 @@ func TestUnmarshalOwnDeflateWindows(t *testing.T) {
 	for _, cp := range ix.Checkpoints {
 		blob = binary.LittleEndian.AppendUint64(blob, uint64(cp.Bit))
 		blob = binary.LittleEndian.AppendUint64(blob, uint64(cp.Out))
-		w, err := deflate.Compress(cp.Window, 6)
+		w, err := compress(cp.Window)
 		if err != nil {
 			t.Fatal(err)
 		}
 		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(w)))
 		blob = append(blob, w...)
 	}
+	return blob
+}
+
+// checkLoads unmarshals blob and checks it holds ix's windows and
+// serves a read of payload like ix does.
+func checkLoads(t *testing.T, blob []byte, ix *Index, payload, data []byte) {
+	t.Helper()
 	ix2, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +188,85 @@ func TestUnmarshalOwnDeflateWindows(t *testing.T) {
 	if !bytes.Equal(buf, data[off:off+1000]) {
 		t.Fatal("read through the loaded index mismatch")
 	}
+}
+
+// TestUnmarshalOwnDeflateWindows: sidecars whose windows were
+// compressed by this repository's own DEFLATE writer (how Marshal wrote
+// them before it used the standard library) must still load and serve
+// reads: the format records only that windows are deflated.
+func TestUnmarshalOwnDeflateWindows(t *testing.T) {
+	payload, data := fixture(t, 10000, 6)
+	ix, err := Build(payload, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLoads(t, v1Blob(t, ix, func(w []byte) ([]byte, error) { return deflate.Compress(w, 6) }), ix, payload, data)
+}
+
+// TestUnmarshalLevel6Windows: sidecars whose windows the standard
+// library deflated at level 6 (how Marshal wrote them before it moved
+// to BestSpeed) load to the same windows and serve the same bytes.
+func TestUnmarshalLevel6Windows(t *testing.T) {
+	payload, data := fixture(t, 10000, 6)
+	ix, err := Build(payload, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := v1Blob(t, ix, func(w []byte) ([]byte, error) {
+		var buf bytes.Buffer
+		zw, err := stdflate.NewWriter(&buf, 6)
+		if err != nil {
+			return nil, err
+		}
+		zw.Write(w)
+		err = zw.Close()
+		return buf.Bytes(), err
+	})
+	checkLoads(t, blob, ix, payload, data)
+}
+
+// TestMarshalSameAtAnyParallelism: windows are deflated on up to
+// GOMAXPROCS goroutines, and the blob is byte-identical whatever that
+// is.
+func TestMarshalSameAtAnyParallelism(t *testing.T) {
+	payload, _ := fixture(t, 10000, 6)
+	ix, err := Build(payload, 128<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var blobs [2][]byte
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if blobs[i], err = ix.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatalf("Marshal at GOMAXPROCS 1 (%d B) and 4 (%d B) differ", len(blobs[0]), len(blobs[1]))
+	}
+}
+
+// TestMarshalWindowsCompress: on FASTQ a deflated window averages well
+// under half its 32 KiB, so a writer that stores windows raw or codes
+// them Huffman-only fails here.
+func TestMarshalWindowsCompress(t *testing.T) {
+	payload, _ := fixture(t, 10000, 6)
+	ix, err := Build(payload, 128<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ix.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ix.Checkpoints)
+	const header, perCheckpoint = 4 + 2 + 8 + 8 + 4, 8 + 8 + 4
+	mean := (len(blob) - header - n*perCheckpoint) / n
+	if mean > 16<<10 {
+		t.Fatalf("%d windows average %d B deflated, want <= %d", n, mean, 16<<10)
+	}
+	t.Logf("%d windows, %d B each deflated on average", n, mean)
 }
 
 func TestUnmarshalErrors(t *testing.T) {

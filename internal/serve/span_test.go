@@ -430,6 +430,13 @@ func TestCacheSpansBelongToTheirHandle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if data == nil {
+			// Unlock before failing: the cleanup closes the cache.
+			c.mu.Lock()
+			used, cached, budget := c.used, c.spans, c.opts.BudgetBytes
+			c.mu.Unlock()
+			t.Fatalf("span %d (%d B): no room, used=%d (spans %d) budget=%d", i, spanLen(i), used, cached, budget)
+		}
 		if !bytes.Equal(data, want[spans[i][0]:spans[i][1]]) {
 			t.Fatalf("span %d differs from the oracle", i)
 		}
@@ -477,8 +484,13 @@ func TestCacheSpansBelongToTheirHandle(t *testing.T) {
 	h.Release()
 
 	// Reopened, the blob has a new handle and none of the old spans.
+	// The budget holds the new handle and one span, so the fetch below
+	// can only miss, not read around a full cache.
 	h2 := mustAcquire(t, c, cat, name)
 	defer h2.Release()
+	c.mu.Lock()
+	c.opts.BudgetBytes = c.used + spanLen(0)
+	c.mu.Unlock()
 	misses = met.SpanMisses.Value()
 	fetch(h2, 0)
 	if met.SpanMisses.Value() != misses+1 {

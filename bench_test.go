@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's performance results. Each
-// testing.B target corresponds to one table or figure (DESIGN.md §3);
+// testing.B target corresponds to one table or figure (the index is
+// internal/experiments.All; cmd/experiments -run list prints it);
 // run with:
 //
 //	go test -bench=. -benchmem
@@ -605,7 +606,7 @@ func BenchmarkPass2Translate(b *testing.B) {
 
 // TestExperimentsSmoke runs every experiment at a tiny scale so the
 // harness itself stays correct; full-scale runs happen via
-// cmd/experiments (see EXPERIMENTS.md).
+// cmd/experiments.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -5,7 +5,8 @@
 //	experiments -run table2 -scale 2 -threads 32
 //
 // Experiment IDs: fig1, fig2top, fig2bottom, model, table1, fig4,
-// table2, fig5, blockdetect (see DESIGN.md section 3).
+// table2, fig5, blockdetect, baselines (-run list prints each with the
+// table or figure it reproduces).
 package main
 
 import (

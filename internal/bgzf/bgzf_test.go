@@ -48,8 +48,8 @@ func TestEmptyInput(t *testing.T) {
 }
 
 // TestStdlibCompatible: every BGZF file is a valid multi-member gzip
-// file, so both the standard library and this repo's gzip reader must
-// inflate it.
+// file, so the standard library must inflate it. (The root package's
+// gzip surfaces are checked on BGZF files by its shape matrix.)
 func TestStdlibCompatible(t *testing.T) {
 	data := corpus(t, 5000)
 	bz, err := Compress(data, 6)
@@ -67,13 +67,6 @@ func TestStdlibCompatible(t *testing.T) {
 	}
 	if !bytes.Equal(out, data) {
 		t.Fatal("stdlib mismatch")
-	}
-	out2, err := gzipx.Decompress(bz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out2, data) {
-		t.Fatal("gzipx mismatch")
 	}
 }
 

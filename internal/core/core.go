@@ -19,17 +19,14 @@
 // stringent text checks used for block detection; a start that fails
 // to stitch costs an exact re-decode, not the call.
 //
-// Both entry points — whole-file (DecompressPayload, over a resident
-// payload) and bounded-memory streaming (Pipeline, over a sliding
-// window with at most Threads spans in flight) — run on the one chunk
-// scheduler in sched.go.
+// Every entry point is a Pipeline running members on the one chunk
+// scheduler in sched.go: over a sliding window with at most Threads
+// spans in flight (NewPipeline, bounded-memory streaming), or over a
+// caller's slice with each member's extent cut into spans
+// (NewPipelineBytes; DecompressPayload is one member of it).
 package core
 
-import (
-	"time"
-
-	"repro/internal/flate"
-)
+import "time"
 
 // Options configures the engine.
 type Options struct {
@@ -55,16 +52,6 @@ type Options struct {
 	// Metrics.SimulatedMakespan models a machine with one free core
 	// per chunk (how Figure 5's scaling shape is reproduced here).
 	Sequential bool
-	// SizeHint is the expected output size (a gzip trailer's ISIZE).
-	// The output buffer is presized with it; it is capacity only and
-	// never changes the bytes.
-	SizeHint int
-	// Extent is the member's declared compressed payload length (a BGZF
-	// header's BSIZE less framing), 0 when unknown. Spans are planned
-	// within it only, so a member no larger than MinChunk decodes as
-	// one exact chunk with no block sync. It is a planning hint: the
-	// decode always runs to the member's final block, wherever that is.
-	Extent int
 }
 
 const defaultMinChunk = 128 << 10
@@ -116,7 +103,7 @@ func (m *Metrics) WorkSeconds() float64 {
 // cores as chunks would achieve: the slowest (find+pass1) chunk, plus
 // the sequential window propagation, plus the slowest translation.
 // It lets the scaling *shape* of Figure 5 be reproduced on hosts with
-// fewer physical cores than the paper's 24 (see EXPERIMENTS.md).
+// fewer physical cores than the paper's 24 (cmd/experiments -run fig5).
 func (m *Metrics) SimulatedMakespan() time.Duration {
 	var maxP1, maxP2 time.Duration
 	for _, c := range m.Chunks {
@@ -131,61 +118,18 @@ func (m *Metrics) SimulatedMakespan() time.Duration {
 }
 
 // DecompressPayload decompresses a raw DEFLATE stream (no gzip
-// framing) in parallel and returns the output plus run metrics. It is
-// the resident framing of the chunk scheduler: the payload (or its
-// first Extent bytes) is cut into min(Threads, extent/MinChunk) spans,
-// at most all of them in flight, and the output is assembled in one
-// buffer: exact chunks decode straight into it and symbolic chunks
-// translate into their final position.
+// framing) in parallel and returns the output plus run metrics: it is a
+// resident pipeline (NewPipelineBytes) and one member run, assembling
+// the output in one buffer.
 func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
-	t0 := time.Now()
-	metrics := &Metrics{}
-
-	extent := len(payload)
-	if o.Extent > 0 && o.Extent < extent {
-		extent = o.Extent
-	}
-	minChunk := o.MinChunk
-	if minChunk <= 0 {
-		minChunk = defaultMinChunk
-	}
-	n := min(o.Threads, extent/minChunk)
-	if n <= 1 {
-		out, endBit, err := flate.DecompressSized(payload, o.SizeHint)
-		if err != nil {
-			return nil, nil, err
-		}
-		m := ChunkMetrics{OutBytes: int64(len(out)), Pass1: time.Since(t0), EndBit: endBit}
-		metrics.Chunks = []ChunkMetrics{m}
-		metrics.Pass1Wall = m.Pass1
-		metrics.TotalWall = time.Since(t0)
-		metrics.PayloadEndBit = endBit
-		metrics.Work.Decoded = m.OutBytes
-		totalWork.add(metrics.Work)
-		return out, metrics, nil
-	}
-
-	r := &run{
-		o: o, src: &source{payload: payload}, span: int64(extent / n), n: n,
-		extEnd: int64(extent), resident: true,
-	}
-	if o.SizeHint > 0 {
-		r.whole = make([]byte, 0, o.SizeHint+4<<10)
-		r.ratio = float64(o.SizeHint) / float64(extent)
-	}
-	r.start(0, nil, 0)
-	if err := r.resolve(); err != nil {
+	p := NewPipelineBytes(payload, PipelineOptions{
+		Threads: o.Threads, MinChunk: o.MinChunk, Confirmations: o.Confirmations,
+		ValidByte: o.ValidByte, Sequential: o.Sequential,
+	})
+	var out []byte
+	res, err := p.RunMemberOpts(MemberRun{Out: &out})
+	if err != nil {
 		return nil, nil, err
 	}
-	metrics.Chunks = r.chunks
-	for _, c := range r.chunks {
-		metrics.SyncWall += c.Find
-		metrics.Pass1Wall += c.Pass1
-	}
-	metrics.Pass2SeqWall = r.pass2Seq
-	metrics.Pass2ParWall = r.pass2Par
-	metrics.PayloadEndBit = r.bit
-	metrics.Work = r.work.load()
-	metrics.TotalWall = time.Since(t0)
-	return r.whole, metrics, nil
+	return out, res.Metrics, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"io"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/srcbuf"
 )
@@ -57,6 +58,7 @@ type Pipeline struct {
 	maxWindow int
 	n         int   // spans in flight
 	span      int64 // compressed bytes per span
+	resident  bool  // win is the whole source: spans are planned per member
 
 	batches  atomic.Int64
 	outBytes atomic.Int64
@@ -80,6 +82,20 @@ func (p *Pipeline) OutBytes() int64 { return p.outBytes.Load() }
 
 // NewPipeline returns a Pipeline reading compressed bytes from r.
 func NewPipeline(r io.Reader, o PipelineOptions) *Pipeline {
+	return newPipeline(srcbuf.New(r, o.ReadSize, o.Prefetch), o)
+}
+
+// NewPipelineBytes returns a Pipeline whose window is data itself
+// (srcbuf.NewResident). Each member's extent, its declared Extent or
+// else the rest of data, is cut into min(Threads, extent/MinChunk)
+// spans, all of them in flight, instead of batch-sized ones.
+func NewPipelineBytes(data []byte, o PipelineOptions) *Pipeline {
+	p := newPipeline(srcbuf.NewResident(data), o)
+	p.resident = true
+	return p
+}
+
+func newPipeline(win *srcbuf.Window, o PipelineOptions) *Pipeline {
 	n := o.Threads
 	if n < 1 {
 		n = 1
@@ -113,7 +129,7 @@ func NewPipeline(r io.Reader, o PipelineOptions) *Pipeline {
 	}
 	spans := max(min(n, batchBytes/inner.MinChunk), 1)
 	return &Pipeline{
-		win:       srcbuf.New(r, o.ReadSize, o.Prefetch),
+		win:       win,
 		inner:     inner,
 		maxWindow: maxWindow,
 		n:         spans,
@@ -148,11 +164,17 @@ type Checkpoint struct {
 type MemberRun struct {
 	// Emit receives consecutive decompressed chunks, in order, each as
 	// soon as it is resolved. Output below SkipTo is never delivered.
-	// Required. Each slice is the callee's: it may retain it, or, once
-	// done with it, hand it back to the scheduler's buffer pool with
-	// RecycleOutput — the Reader does, after copying a chunk out; every
-	// other caller retains (or drops) what it is given.
+	// Required unless Out is set. Each slice is the callee's: it may
+	// retain it, or, once done with it, hand it back to the scheduler's
+	// buffer pool with RecycleOutput — the Reader does, after copying a
+	// chunk out; every other caller retains (or drops) what it is given.
+	// With Out set, each slice is a view into *Out instead.
 	Emit func([]byte) error
+
+	// Out, when set, is the caller's output, which may span members:
+	// the member's bytes are appended to it in place (see run.reserve
+	// for how it grows).
+	Out *[]byte
 
 	// StartBit is the absolute source bit to start decoding at; <= 0
 	// selects the window's current base. It must be a true block
@@ -218,6 +240,8 @@ type MemberResult struct {
 	// Out is the member-relative decompressed offset at the member's
 	// end (the member's total decompressed size when OutBase was 0).
 	Out int64
+	// Metrics reports the run (its Chunks only with Out set).
+	Metrics *Metrics
 }
 
 // RunMember decodes one raw DEFLATE stream starting at the window's
@@ -236,28 +260,47 @@ func (p *Pipeline) RunMember(emit func([]byte) error) (int64, error) {
 // up to a target offset, and checkpoint emission as a side-channel of
 // the decode. It returns only after every task it started has exited.
 func (p *Pipeline) RunMemberOpts(mr MemberRun) (MemberResult, error) {
+	t0 := time.Now()
+	work0 := p.work.load()
 	startBit := mr.StartBit
 	if startBit <= 0 {
 		startBit = p.win.Base() * 8
 	}
 	checkpointing := mr.OnCheckpoint != nil && mr.CheckpointSpacing > 0
 	exact := checkpointing && mr.ExactCheckpoints
-	var extEnd int64
+	span, n, extEnd := p.span, p.n, int64(0)
 	if mr.Extent > 0 {
 		extEnd = startBit/8 + mr.Extent
 	}
+	if lim := p.win.Base() + int64(p.win.Len()); p.resident {
+		if extEnd == 0 || extEnd > lim {
+			extEnd = lim
+		}
+		n = max(min(p.inner.Threads, int(extEnd-startBit/8)/p.inner.MinChunk), 1)
+		span = (extEnd - startBit/8) / int64(n)
+	}
 	r := &run{
 		o: p.inner, src: &source{win: p.win, maxWindow: p.maxWindow},
-		span: p.span, n: p.n, extEnd: extEnd,
+		span: span, n: n, extEnd: extEnd,
 		emit: mr.Emit, skipTo: mr.SkipTo, exact: exact,
 		emitted: &p.batches, outCounter: &p.outBytes, work: &p.work,
+	}
+	if mr.Out != nil {
+		r.resident, r.whole = true, *mr.Out
 	}
 	if checkpointing {
 		r.onCP, r.cpSpacing, r.nextCP = mr.OnCheckpoint, mr.CheckpointSpacing, mr.OutBase
 	}
 	r.start(startBit, mr.Context, mr.OutBase)
-	if err := r.resolve(); err != nil {
+	err := r.resolve()
+	if mr.Out != nil {
+		*mr.Out = r.whole
+	}
+	if err != nil {
 		return MemberResult{}, err
 	}
-	return MemberResult{EndBit: r.bit, Out: r.out}, nil
+	return MemberResult{EndBit: r.bit, Out: r.out, Metrics: &Metrics{
+		Chunks: r.chunks, SyncWall: r.syncWall, Pass1Wall: r.pass1Wall, Pass2SeqWall: r.pass2Seq, Pass2ParWall: r.pass2Par,
+		TotalWall: time.Since(t0), Work: p.work.load().minus(work0), PayloadEndBit: r.bit,
+	}}, nil
 }

@@ -16,9 +16,8 @@ import (
 )
 
 // This file is the one chunk scheduler behind every decompression
-// surface of the package: the whole-file two-pass path
-// (DecompressPayload, over a resident payload) and the streaming
-// pipeline (Pipeline.RunMemberOpts, over a sliding window). The
+// surface of the package: Pipeline.RunMemberOpts, over a sliding window
+// or a resident one (NewPipelineBytes, DecompressPayload). The
 // compressed stream is cut into nominal spans. Workers sync each span
 // to a confirmed block start and run pass 1 on it with a symbolic
 // context; one in-order resolver stitches each chunk to its
@@ -102,28 +101,21 @@ type task struct {
 	worker bool // run by a worker goroutine (else inline, Sequential)
 }
 
-// source is the compressed bytes a run reads: a resident payload, or a
-// pipeline's sliding window. Its methods run on the resolver goroutine;
-// workers read pinned snapshots.
+// source is the compressed bytes a run reads: a pipeline's window, over
+// a stream or resident (srcbuf.NewResident). Its methods run on the
+// resolver goroutine; workers read pinned snapshots.
 type source struct {
-	payload   []byte
 	win       *srcbuf.Window
 	maxWindow int
 }
 
 // view returns the resident bytes and the absolute bit of their first.
 func (s *source) view() ([]byte, int64) {
-	if s.win == nil {
-		return s.payload, 0
-	}
 	return s.win.Bytes(), s.win.Base() * 8
 }
 
 // pin is view for a reader on another goroutine.
 func (s *source) pin() ([]byte, int64, func()) {
-	if s.win == nil {
-		return s.payload, 0, func() {}
-	}
 	data, base, unpin := s.win.Pin()
 	return data, base * 8, unpin
 }
@@ -132,9 +124,6 @@ func (s *source) pin() ([]byte, int64, func()) {
 // Source errors surface later, from the decode that runs short: a
 // reader may deliver its final bytes alongside its error.
 func (s *source) ensure(end int64) error {
-	if s.win == nil {
-		return nil
-	}
 	if err := s.win.Fill(int(end - s.win.Base())); errors.Is(err, srcbuf.ErrClosed) {
 		return err
 	}
@@ -144,9 +133,6 @@ func (s *source) ensure(end int64) error {
 // limit returns the absolute byte the resident data ends at and
 // whether nothing more will arrive.
 func (s *source) limit() (int64, bool) {
-	if s.win == nil {
-		return int64(len(s.payload)), true
-	}
 	return s.win.Base() + int64(s.win.Len()), s.win.EOF()
 }
 
@@ -155,9 +141,6 @@ func (s *source) limit() (int64, bool) {
 // returns cause (or the source's own error) when nothing more can
 // arrive, and a window-cap error when the window may not grow further.
 func (s *source) grow(bit int64, cause error) error {
-	if s.win == nil {
-		return cause
-	}
 	if s.win.EOF() {
 		if err := s.win.Err(); err != nil {
 			return err
@@ -174,13 +157,7 @@ func (s *source) grow(bit int64, cause error) error {
 	return nil
 }
 
-func (s *source) discardTo(abs int64) {
-	if s.win != nil {
-		s.win.DiscardTo(abs)
-	}
-}
-
-// run is one member (or one resident payload) on the scheduler.
+// run is one member on the scheduler.
 type run struct {
 	// Plan: spans of span bytes cut from byte first, n in flight, none
 	// past extEnd (0: no declared extent).
@@ -193,9 +170,11 @@ type run struct {
 	workers  int // worker goroutines (the resolver decodes too)
 	minChunk int64
 
-	// Sinks: a resident run assembles its output in whole; a streaming
-	// run hands each chunk to emit, from member-relative offset skipTo
-	// on, and counts emitted chunks and decoded output.
+	// Sinks: a resident run appends its output to whole, the caller's
+	// output, which spans members; emit sees each chunk (from
+	// member-relative offset skipTo on), as a view into whole or as a
+	// buffer of its own, and the counters count emitted chunks and
+	// decoded output.
 	resident   bool
 	whole      []byte
 	emit       func([]byte) error
@@ -207,8 +186,10 @@ type run struct {
 	onCP       func(Checkpoint) error
 	nextCP     int64
 
-	// Expansion: the initial output-per-compressed-byte guess, and the
-	// member's start, against which the observed one is measured.
+	// Expansion: the initial output-per-compressed-byte guess (the
+	// members before this one, in a resident output that holds them),
+	// and the member's start, against which the observed one is
+	// measured.
 	ratio    float64
 	startBit int64
 	outBase  int64
@@ -228,10 +209,12 @@ type run struct {
 	win, spare []byte
 	atStart    bool
 
-	chunks   []ChunkMetrics // per chunk, for a resident run's Metrics
-	pass2Seq time.Duration
-	pass2Par time.Duration
-	work     *workCounter
+	chunks    []ChunkMetrics // a resident run's: a stream's would grow with it
+	syncWall  time.Duration
+	pass1Wall time.Duration
+	pass2Seq  time.Duration
+	pass2Par  time.Duration
+	work      *workCounter
 }
 
 // initialRatio is the output-per-compressed-byte guess that sizes a
@@ -251,14 +234,12 @@ func (r *run) start(startBit int64, ctx []byte, outBase int64) {
 	if r.minChunk <= 0 {
 		r.minChunk = defaultMinChunk
 	}
-	if r.ratio == 0 {
-		r.ratio = initialRatio
+	r.ratio = initialRatio
+	if r.resident && len(r.whole) > 0 && r.first > 0 {
+		r.ratio = float64(len(r.whole))/float64(r.first)*1.1 + 0.1
 	}
 	if !r.o.Sequential { // Sequential: tasks run inline, never taken over
 		r.workers = min(r.n, runtime.GOMAXPROCS(0)) - 1
-	}
-	if r.work == nil {
-		r.work = &workCounter{}
 	}
 	r.tasks = map[int64]*task{}
 	r.win, r.spare = tracked.GetWindow(), tracked.GetWindow()
@@ -462,7 +443,7 @@ func (r *run) pass1(t *task) (*chunk, error) {
 		StartBit: c.start, EndBit: c.end, OutBytes: c.outN,
 		Find: find, Pass1: time.Since(t1),
 	}
-	if r.resident { // only a resident run reports ChunkMetrics; the count is a pass over the output
+	if r.resident { // the count is a pass over the output: whole-file runs only
 		c.m.SymbolsUnresolved = int64(tracked.CountUndetermined(res.Out))
 	}
 	return c, nil
@@ -725,10 +706,10 @@ func (r *run) decodeExact(data []byte, base, stop int64, measure bool, hint int)
 		sink = &flate.ByteSink{}
 		switch {
 		case r.resident:
-			sink.Out, sink.Prefix = r.whole, len(r.whole)
-			if cap(sink.Out)-len(sink.Out) < hint {
-				sink.Out = append(make([]byte, 0, max(len(r.whole)+hint, 2*cap(r.whole))), r.whole...)
+			if len(r.whole) > 0 || cap(r.whole) == 0 {
+				r.reserve(hint) // an empty presized output is the caller's own estimate
 			}
+			sink.Out, sink.Prefix = r.whole, len(r.whole)
 		case r.atStart:
 			sink.Out = getOutBuf(hint)
 		default:
@@ -806,7 +787,8 @@ func (r *run) finish(c *chunk) error {
 		t := time.Now()
 		if r.resident {
 			n := len(r.whole)
-			r.whole = growTo(r.whole, n+int(c.outN))
+			r.reserve(int(c.outN))
+			r.whole = r.whole[:n+int(c.outN)]
 			out = r.whole[n:]
 		} else {
 			c.plainBuf = getOutBuf(int(c.outN))[:c.outN]
@@ -843,10 +825,12 @@ func (r *run) finish(c *chunk) error {
 	if r.outCounter != nil {
 		r.outCounter.Add(c.outN)
 	}
+	r.syncWall += c.m.Find
+	r.pass1Wall += c.m.Pass1
 	if r.resident {
 		r.chunks = append(r.chunks, c.m)
 	}
-	r.src.discardTo(r.bit / 8)
+	r.src.win.DiscardTo(r.bit / 8)
 	return nil
 }
 
@@ -903,15 +887,21 @@ func (r *run) checkpoints(c *chunk, prev, out []byte) error {
 	return nil
 }
 
-// growTo returns b extended to length n, reallocating (with doubling)
-// only when its capacity is short.
-func growTo(b []byte, n int) []byte {
-	if n <= cap(b) {
-		return b[:n]
+// reserve makes room in the resident output for n more bytes. When it
+// must grow the output, it grows it for the rest of the source at the
+// expansion seen so far (members before this one included), so a file
+// of many members grows its one output a few times, not once a member.
+// With nothing seen yet it grows by n.
+func (r *run) reserve(n int) {
+	if cap(r.whole)-len(r.whole) >= n {
+		return
 	}
-	nb := make([]byte, n, max(n, 2*cap(b)))
-	copy(nb, b)
-	return nb
+	size := len(r.whole) + n
+	if len(r.whole) > 0 {
+		lim, _ := r.src.limit()
+		size = max(size, len(r.whole)+r.estimate(r.bit/8, lim))
+	}
+	r.whole = append(make([]byte, 0, size), r.whole...)
 }
 
 // verifyEquivalentStart checks that decoding one block at trueBit (the
@@ -1002,6 +992,11 @@ func (w *workCounter) add(d Work) {
 
 func (w *workCounter) load() Work {
 	return Work{w.bitsTried.Load(), w.decoded.Load(), w.takeOvers.Load()}
+}
+
+// minus returns the work done since o was read from the same counter.
+func (w Work) minus(o Work) Work {
+	return Work{w.BitsTried - o.BitsTried, w.Decoded - o.Decoded, w.TakeOvers - o.TakeOvers}
 }
 
 // finderPool recycles block finders with the default options: each

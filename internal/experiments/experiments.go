@@ -1,13 +1,12 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md section 3 for the index). Each
+// paper's evaluation (All is the index). Each
 // experiment is a function from a Config to a printable, structured
 // result, so the same code backs cmd/experiments and the benchmark
 // suite in bench_test.go.
 //
 // Scale: the paper's corpus is 192.8 GB of ENA FASTQ; this harness
 // regenerates the same *shapes* from seeded synthetic corpora sized
-// megabytes (Config.Scale multiplies the defaults). EXPERIMENTS.md
-// records paper-vs-measured numbers for every experiment.
+// megabytes (Config.Scale multiplies the defaults).
 package experiments
 
 import (

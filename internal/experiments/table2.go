@@ -205,7 +205,7 @@ func RunTable2(c Config, w io.Writer) error {
 	tbl.AddRow(fmt.Sprintf("pugz, %d threads (simulated, incl sync)", c.Threads), fmt.Sprintf("%.0f", pm.SimMBs),
 		fmt.Sprintf("1 free core per chunk (%d chunks)", pm.Chunks))
 	tbl.AddRow(fmt.Sprintf("pugz, %d threads (simulated, decompress only)", c.Threads), fmt.Sprintf("%.0f", pm.SimNoSyncMBs),
-		"sync excluded; see EXPERIMENTS.md")
+		"sync excluded")
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintf(w, "\nper-thread work rate of pugz: %.0f MB/s\n", pm.WorkMBs)
 	fmt.Fprintf(w, "paper: gunzip 37, libdeflate 118, pugz-32 611 MB/s (16.5x / 5.2x)\n")

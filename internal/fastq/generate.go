@@ -1,9 +1,8 @@
 // Package fastq implements the FASTQ side of the paper: a synthetic
-// Illumina-like generator (the stand-in for the ENA corpus, see
-// DESIGN.md substitutions), a strict parser, the heuristic extractor
-// of DNA-like segments from partially undetermined text (Appendix
-// X-B), sequence-resolved block detection (Section VI-B), and the
-// character-type annotation behind Figure 4.
+// Illumina-like generator (the stand-in for the ENA corpus), a strict
+// parser, the heuristic extractor of DNA-like segments from partially
+// undetermined text (Appendix X-B), sequence-resolved block detection
+// (Section VI-B), and the character-type annotation behind Figure 4.
 package fastq
 
 import (

@@ -1,9 +1,9 @@
 // Package gzipx implements the gzip container format (RFC 1952) around
-// internal/deflate and internal/flate: member headers with optional
-// fields, CRC-32 + ISIZE trailers, multi-member concatenation, and the
-// XFL-based compression-level classification that the UNIX file
-// command (and Section VII-A of the paper) uses to partition datasets
-// into lowest / normal / highest compression levels.
+// internal/deflate: member headers with optional fields, CRC-32 + ISIZE
+// trailers, and the XFL-based compression-level classification that
+// the UNIX file command (and Section VII-A of the paper) uses to
+// partition datasets into lowest / normal / highest compression levels.
+// Decoding members is the root package's one member loop.
 package gzipx
 
 import (
@@ -34,8 +34,6 @@ var (
 	ErrBadMagic  = errors.New("gzipx: not a gzip file (bad magic)")
 	ErrBadMethod = errors.New("gzipx: unsupported compression method")
 	ErrTruncated = errors.New("gzipx: truncated member")
-	ErrBadCRC    = errors.New("gzipx: CRC-32 mismatch")
-	ErrBadISize  = errors.New("gzipx: ISIZE mismatch")
 	ErrBadFlags  = errors.New("gzipx: reserved flag bits set")
 )
 
@@ -159,66 +157,24 @@ func CompressOpts(data []byte, o Options) ([]byte, error) {
 	return out, nil
 }
 
-// Decompress inflates every member of a gzip file sequentially,
-// verifying each CRC-32 and ISIZE. This is the repository's
-// "gunzip role" baseline: exact, single-threaded, checksum-verified.
-func Decompress(data []byte) ([]byte, error) {
-	var out []byte
-	rest := data
-	hint := SizeHint(data) // for the first member only
-	for len(rest) > 0 {
-		m, err := ParseHeader(rest)
-		if err != nil {
-			return nil, err
-		}
-		payload := rest[m.HeaderLen:]
-		dec, endBit, err := flate.DecompressSized(payload, hint)
-		if err != nil {
-			return nil, err
-		}
-		hint = 0
-		// The trailer follows the final block, rounded up to a byte.
-		endByte := int((endBit + 7) / 8)
-		if len(payload) < endByte+8 {
-			return nil, ErrTruncated
-		}
-		wantCRC := binary.LittleEndian.Uint32(payload[endByte:])
-		wantISize := binary.LittleEndian.Uint32(payload[endByte+4:])
-		if crc32.ChecksumIEEE(dec) != wantCRC {
-			return nil, ErrBadCRC
-		}
-		if uint32(len(dec)) != wantISize {
-			return nil, ErrBadISize
-		}
-		out = AppendMember(out, dec)
-		rest = payload[endByte+8:]
-	}
-	return out, nil
-}
-
 // maxHintRatio caps SizeHint at this multiple of the compressed bytes,
 // so a forged trailer reserves at most that much memory.
 const maxHintRatio = 16
 
-// SizeHint reads a gzip file's last ISIZE, clamped to maxHintRatio
-// times len(file), as the capacity for its first member's output. It
-// is exact only for one member under 4 GiB, so it never decides bytes.
+// SizeHint returns the capacity to presize a gzip file's output with:
+// its last ISIZE, clamped to maxHintRatio times len(file), plus the
+// room the decoder's fast loop needs past the last byte (0 when ISIZE
+// is 0). ISIZE is exact only for one member under 4 GiB, so the hint
+// never decides bytes.
 func SizeHint(file []byte) int {
 	if len(file) < 4 {
 		return 0
 	}
 	isize := int64(binary.LittleEndian.Uint32(file[len(file)-4:]))
-	return int(min(isize, int64(len(file))*maxHintRatio))
-}
-
-// AppendMember appends a member's output to out, handing the first
-// non-empty member's buffer back as out instead of copying it. An
-// all-empty file still yields nil.
-func AppendMember(out, dec []byte) []byte {
-	if out == nil && len(dec) > 0 {
-		return dec
+	if isize == 0 {
+		return 0
 	}
-	return append(out, dec...)
+	return int(min(isize, int64(len(file))*maxHintRatio)) + flate.FastSlack
 }
 
 // PayloadBounds returns the byte range [start,end) of the DEFLATE

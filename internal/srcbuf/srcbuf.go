@@ -18,6 +18,9 @@
 // on the backing array is outstanding, the consumer never writes to it
 // in place (no compaction, no appends over a pinned length), so a
 // pinned snapshot stays valid however far the window slides.
+//
+// A source already in memory gets a resident window (NewResident): the
+// caller's slice itself, with no reader goroutine, pinned for good.
 package srcbuf
 
 import (
@@ -87,6 +90,18 @@ func New(r io.Reader, readSize, prefetch int) *Window {
 		pins:   new(atomic.Int32),
 	}
 	go w.read(r, readSize)
+	return w
+}
+
+// NewResident returns a window over b, a whole source already in
+// memory. It starts no reader goroutine and copies nothing, and it is
+// pinned for good, so it never compacts, appends to or recycles the
+// caller's bytes: Discard only moves the head, and every Pin is b
+// itself.
+func NewResident(b []byte) *Window {
+	w := &Window{buf: b[:len(b):len(b)], eof: true, cancel: make(chan struct{}), pins: new(atomic.Int32)}
+	w.pins.Store(1)
+	w.maxBuf.Store(int64(len(b)))
 	return w
 }
 

@@ -208,3 +208,40 @@ func TestPinnedSnapshotSurvivesSliding(t *testing.T) {
 		t.Fatalf("dead prefix %d not compacted once unpinned", w.off)
 	}
 }
+
+// TestResidentWindow: a resident window serves the caller's slice
+// itself. Discarding moves the head only: no byte of the slice is moved
+// or written, even past the compaction threshold and after Recycle, and
+// Fill never asks for more than the slice holds.
+func TestResidentWindow(t *testing.T) {
+	data := make([]byte, 3*compactThreshold)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	want := bytes.Clone(data)
+	w := NewResident(data)
+	if err := w.Fill(len(data) + 1); err != nil || w.Len() != len(data) || !w.EOF() {
+		t.Fatalf("Fill past the end: err=%v Len=%d EOF=%v", err, w.Len(), w.EOF())
+	}
+	if w.MaxBuffered() != int64(len(data)) {
+		t.Fatalf("MaxBuffered %d, want %d", w.MaxBuffered(), len(data))
+	}
+	w.DiscardTo(2 * compactThreshold)
+	if w.Base() != 2*compactThreshold || &w.Bytes()[0] != &data[2*compactThreshold] {
+		t.Fatal("Discard moved the window off the caller's slice")
+	}
+	pin, base, unpin := w.Pin()
+	if base != w.Base() || &pin[0] != &data[base] {
+		t.Fatal("Pin is not the caller's slice")
+	}
+	unpin()
+	w.Discard(len(data))
+	if b, err := w.ReadByte(); err != io.EOF {
+		t.Fatalf("ReadByte at the end: %d, %v", b, err)
+	}
+	w.Recycle()
+	w.Close()
+	if !bytes.Equal(data, want) {
+		t.Fatal("the caller's bytes changed")
+	}
+}

@@ -4,17 +4,21 @@
 // decompression of arbitrary gzip-compressed text files, plus random
 // access to DNA sequences inside gzip-compressed FASTQ files.
 //
-// There are two decompression APIs sharing one parallel engine:
+// There are two decompression APIs over one parallel engine: a chunk
+// scheduler that keeps at most Threads compressed spans in flight,
+// workers syncing each to a block start and decoding it with a
+// symbolic context while one resolver stitches, translates and hands
+// on each chunk in order as soon as it is resolved. Both walk a file's
+// members with the same loop (header, payload, trailer, optional
+// CRC-32 and ISIZE checks):
 //
 //   - NewReader is the streaming API: it wraps any io.Reader — a
 //     file, a pipe, a socket — in an io.ReadCloser whose output is
 //     byte-identical to gunzip's across all members. A reader
-//     goroutine fills a bounded compressed window, Threads workers
-//     decode each batch's chunks with symbolic contexts, and batches
-//     are resolved and emitted in order with back-pressure, so peak
-//     memory is O(batch x threads) regardless of stream size — the
-//     paper's Section VIII memory limitation, lifted in both
-//     directions.
+//     goroutine fills a bounded compressed window and each chunk is
+//     emitted with back-pressure, so peak memory is O(batch + its
+//     expansion) regardless of stream size — the paper's Section VIII
+//     memory limitation, lifted in both directions.
 //
 //     r, _ := pugz.NewReader(src, pugz.StreamOptions{Threads: 8})
 //     defer r.Close()
@@ -22,8 +26,10 @@
 //
 //   - Decompress is the slice API: exact two-pass parallel
 //     decompression of a whole in-memory gzip file (the pugz
-//     algorithm, Section VI-C), returning per-chunk phase statistics
-//     for the paper's experiments.
+//     algorithm, Section VI-C), each member cut into up to Threads
+//     spans and every member decoded into one output buffer, returning
+//     per-chunk phase statistics for the paper's experiments.
+//     GunzipSequential is Decompress at one thread with checksums on.
 //
 // The remaining entry points mirror the paper's other capabilities:
 // FindBlock / ScanBlocks locate DEFLATE block boundaries, either by
@@ -39,10 +45,7 @@
 package pugz
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"time"
 
 	"repro/internal/core"
@@ -63,14 +66,15 @@ type Options struct {
 	// 128 KiB). Lower it to exercise parallelism on small inputs.
 	MinChunk int
 	// Sequential runs each chunk's sync and pass 1 to completion, one
-	// at a time, instead of concurrently (output identical). Use it for measurement on hosts
-	// with fewer cores than chunks: per-chunk Stats then reflect
-	// isolated cost, making SimulatedMakespan meaningful. See
-	// EXPERIMENTS.md.
+	// at a time, instead of concurrently (output identical). Use it for
+	// measurement on hosts with fewer cores than chunks: per-chunk Stats
+	// then reflect isolated cost, making SimulatedMakespan meaningful
+	// (cmd/experiments -run fig5 does).
 	Sequential bool
 }
 
-// ChunkStats describes one chunk of a parallel run.
+// ChunkStats describes one chunk of a parallel run. StartBit and
+// EndBit are bit offsets in the input (the gzip file, for Decompress).
 type ChunkStats struct {
 	StartBit          int64
 	EndBit            int64
@@ -104,8 +108,8 @@ func (s *Stats) WorkSeconds() float64 {
 
 // SimulatedMakespan estimates the wall time on a machine with one free
 // core per chunk: max(find+pass1) + sequential resolve + max(pass2).
-// See EXPERIMENTS.md for how this is used to reproduce the Figure 5
-// scaling shape on hosts with few physical cores.
+// cmd/experiments -run fig5 uses it to reproduce the Figure 5 scaling
+// shape on hosts with few physical cores.
 func (s *Stats) SimulatedMakespan() time.Duration {
 	var maxP1, maxP2 time.Duration
 	for _, c := range s.Chunks {
@@ -131,55 +135,33 @@ func (s *Stats) addMember(m *core.Metrics) {
 	s.Members++
 }
 
-// ErrChecksum is returned when VerifyChecksums is set and a member's
-// CRC-32 or ISIZE does not match its decompressed content.
+// ErrChecksum is returned when a member's CRC-32 or ISIZE does not
+// match its decompressed content: by GunzipSequential always, and by
+// Decompress and Reader when VerifyChecksums is set. It is wrapped with
+// the field that failed (": CRC-32" or ": ISIZE").
 var ErrChecksum = errors.New("pugz: checksum mismatch")
 
 // Decompress decompresses a complete gzip file (all members) in
 // parallel and returns the concatenated output with run statistics.
-// The output is byte-identical to gunzip's. The trailer's ISIZE is
-// read only as a hint for the output's capacity (a wrong or forged one
-// changes no byte), and the result is the decode buffer itself, not a
-// copy of it.
+// The output is byte-identical to gunzip's. Every member decodes into
+// one output buffer: presized from the last trailer's ISIZE (a hint
+// only: a wrong or forged one changes no byte) and grown from the
+// expansion observed so far. The result is that buffer, not a copy of
+// it; a file with no output bytes yields nil.
 func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
+	p := core.NewPipelineBytes(gz, core.PipelineOptions{
+		Threads:    o.Threads,
+		MinChunk:   o.MinChunk,
+		Sequential: o.Sequential,
+	})
+	out := make([]byte, 0, gzipx.SizeHint(gz))
 	stats := &Stats{}
-	var out []byte
-	rest := gz
-	hint := gzipx.SizeHint(gz) // for the first member only
-	for len(rest) > 0 {
-		member, err := gzipx.ParseHeader(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		payload := rest[member.HeaderLen:]
-		dec, m, err := core.DecompressPayload(payload, core.Options{
-			Threads:    o.Threads,
-			MinChunk:   o.MinChunk,
-			Sequential: o.Sequential,
-			SizeHint:   hint,
-			Extent:     member.PayloadLen(),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		hint = 0
-		endByte := int((m.PayloadEndBit + 7) / 8)
-		if len(payload) < endByte+8 {
-			return nil, nil, gzipx.ErrTruncated
-		}
-		if o.VerifyChecksums {
-			wantCRC := binary.LittleEndian.Uint32(payload[endByte:])
-			wantISize := binary.LittleEndian.Uint32(payload[endByte+4:])
-			if crc32.ChecksumIEEE(dec) != wantCRC {
-				return nil, nil, fmt.Errorf("%w: CRC-32", ErrChecksum)
-			}
-			if uint32(len(dec)) != wantISize {
-				return nil, nil, fmt.Errorf("%w: ISIZE", ErrChecksum)
-			}
-		}
-		out = gzipx.AppendMember(out, dec)
-		stats.addMember(m)
-		rest = payload[endByte+8:]
+	w := &memberWalk{p: p, verify: o.VerifyChecksums, out: &out, onMember: stats.addMember}
+	if err := w.walk(); err != nil {
+		return nil, nil, err
+	}
+	if len(out) == 0 {
+		out = nil
 	}
 	return out, stats, nil
 }
@@ -225,10 +207,12 @@ func CompressParallel(data []byte, level, threads int) ([]byte, error) {
 }
 
 // GunzipSequential is the exact single-threaded baseline (the "gunzip
-// role" in Table II): full header parsing, CRC-32 and ISIZE checks,
-// multi-member support.
+// role" in Table II): Decompress at one thread with checksums on, so
+// full header parsing, multi-member support, and every member's CRC-32
+// and ISIZE checked (a mismatch is ErrChecksum).
 func GunzipSequential(gz []byte) ([]byte, error) {
-	return gzipx.Decompress(gz)
+	out, _, err := Decompress(gz, Options{Threads: 1, VerifyChecksums: true})
+	return out, err
 }
 
 // CompressionClass mirrors the UNIX file command's gzip level report,

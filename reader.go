@@ -3,8 +3,6 @@ package pugz
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -30,9 +28,7 @@ import (
 // Reader implements io.ReadCloser; the byte stream is identical to
 // gunzip's output across all members of a multi-member file.
 type Reader struct {
-	opts StreamOptions
-	cs   cursorState
-	p    *core.Pipeline
+	w memberWalk // owns the pipeline
 
 	batches chan []byte
 	errc    chan error
@@ -139,24 +135,24 @@ func newCursorReader(src io.Reader, o StreamOptions, cs cursorState) (*Reader, e
 		Prefetch:             o.Prefetch,
 		MaxWindowBytes:       o.MaxWindowBytes,
 	})
-	var extent int64
-	if cs.resume == nil {
-		m, err := gzipx.ReadHeader(p.Window())
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-		extent = int64(m.PayloadLen())
-	}
 	r := &Reader{
-		opts:    o,
-		cs:      cs,
-		p:       p,
 		batches: make(chan []byte, 2),
 		errc:    make(chan error, 1),
 		cancel:  make(chan struct{}),
 	}
-	go r.run(extent)
+	r.w = memberWalk{
+		p: p, verify: o.VerifyChecksums, cs: cs, emit: r.hand,
+		onMember: func(*core.Metrics) { r.members.Add(1) },
+		ready:    cs.resume != nil, // a resumed cursor starts mid-member
+	}
+	if more, err := r.w.next(); !more {
+		p.Close()
+		if err == nil {
+			err = gzipx.ErrTruncated // a zero-byte source
+		}
+		return nil, err
+	}
+	go r.run()
 	return r, nil
 }
 
@@ -183,94 +179,23 @@ func (readerClosedError) Error() string { return "pugz: read on closed reader" }
 // closed os.File reports.
 func (readerClosedError) Is(target error) bool { return target == os.ErrClosed }
 
-// run walks members in a worker goroutine: the header of the current
-// member is always already consumed when the loop body starts (or, for
-// a resumed cursor, the first member continues from its resume point).
-// extent is the current member's declared payload length (BGZF), 0
-// when unknown; the scheduler plans no span past it.
-func (r *Reader) run(extent int64) {
+// run walks the members on the Reader's worker goroutine.
+func (r *Reader) run() {
 	defer close(r.batches)
-	win := r.p.Window()
-	defer win.Recycle()
-	memberBase := int64(0) // stream offset of the current member's first output byte
-	first := true
-	for {
-		var crc, isize uint32
-		mr := core.MemberRun{Emit: func(b []byte) error {
-			if r.opts.VerifyChecksums {
-				crc = crc32.Update(crc, crc32.IEEETable, b)
-				isize += uint32(len(b))
-			}
-			// Hand the chunk to the consumer, which owns it from here and
-			// recycles it once Read has copied it out.
-			select {
-			case r.batches <- b:
-				return nil
-			case <-r.cancel:
-				return errStreamCancelled
-			}
-		}}
-		if first {
-			if rp := r.cs.resume; rp != nil {
-				mr.StartBit = rp.bit
-				mr.Context = rp.window
-				mr.OutBase = rp.out
-			}
-			// Checkpoints carry first-member offsets only, matching the
-			// Index surface; later members decode without the side-channel.
-			if r.cs.onCheckpoint != nil && r.cs.spacing > 0 {
-				mr.CheckpointSpacing = r.cs.spacing
-				mr.OnCheckpoint = func(cp core.Checkpoint) error {
-					r.cs.onCheckpoint(cp)
-					return nil
-				}
-			}
-		}
-		if r.cs.skipTo > memberBase {
-			mr.SkipTo = r.cs.skipTo - memberBase
-		}
-		mr.Extent = extent
-		res, err := r.p.RunMemberOpts(mr)
-		endBit := res.EndBit
-		if err != nil {
-			r.fail(err)
-			return
-		}
-		memberBase += res.Out
-		first = false
-		// The member's final block ends at endBit; the trailer begins
-		// at the next byte boundary.
-		win.DiscardTo((endBit + 7) / 8)
-		wantCRC, wantISize, err := gzipx.ReadTrailer(win)
-		if err != nil {
-			r.fail(err)
-			return
-		}
-		if r.opts.VerifyChecksums {
-			if crc != wantCRC {
-				r.fail(fmt.Errorf("%w: CRC-32", ErrChecksum))
-				return
-			}
-			if isize != wantISize {
-				r.fail(fmt.Errorf("%w: ISIZE", ErrChecksum))
-				return
-			}
-		}
-		r.members.Add(1)
-		// Another member, or a clean end of stream?
-		if err := win.Fill(1); err != nil {
-			r.fail(err)
-			return
-		}
-		if win.Len() == 0 {
-			return // clean EOF
-		}
-		m, err := gzipx.ReadHeader(win)
-		if err != nil {
-			r.fail(err)
-			return
-		}
-		extent = int64(m.PayloadLen())
+	defer r.w.p.Window().Recycle()
+	if err := r.w.walk(); err != nil {
+		r.fail(err)
+	}
+}
+
+// hand passes a chunk to the consumer, which owns it from here and
+// recycles it once Read has copied it out.
+func (r *Reader) hand(b []byte) error {
+	select {
+	case r.batches <- b:
+		return nil
+	case <-r.cancel:
+		return errStreamCancelled
 	}
 }
 
@@ -291,9 +216,9 @@ func (r *Reader) fail(err error) {
 func (r *Reader) Stats() ReaderStats {
 	return ReaderStats{
 		Members:               int(r.members.Load()),
-		Batches:               r.p.BatchCount(),
-		OutBytes:              r.p.OutBytes(),
-		MaxBufferedCompressed: r.p.Window().MaxBuffered(),
+		Batches:               r.w.p.BatchCount(),
+		OutBytes:              r.w.p.OutBytes(),
+		MaxBufferedCompressed: r.w.p.Window().MaxBuffered(),
 	}
 }
 
@@ -359,7 +284,7 @@ func (r *Reader) Close() error {
 		r.closed.Store(true)
 		close(r.cancel)
 	})
-	r.p.Close()
+	r.w.p.Close()
 	// Drain so the worker can exit if blocked on send.
 	for range r.batches {
 	}

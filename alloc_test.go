@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -39,7 +40,11 @@ func allocCorpus(t *testing.T) (data, gz []byte) {
 // BGZF form (47 members and the empty end-of-file member, whose ISIZE
 // hints nothing) and three 1 MiB members (hinted with the last one's
 // size) measured 7.7 and 4.4 when each member had a buffer of its own
-// that was then appended to the output.
+// that was then appended to the output. An expansion that does not
+// carry over, 2 MiB of zeros (~1000x) before 2 MiB of random bytes,
+// must not size the second member's room from the first's: reserving
+// the rest of the file at 1000x would allocate ~550 bytes per output
+// byte here (measured 3.0; 4.4 when each member had its own buffer).
 func TestDecompressAllocBudget(t *testing.T) {
 	data, gz := allocCorpus(t)
 	var three []byte
@@ -51,29 +56,43 @@ func TestDecompressAllocBudget(t *testing.T) {
 		}
 		three, rest = append(three, m...), rest[n:]
 	}
+	noise := make([]byte, 2<<20)
+	rand.New(rand.NewSource(44)).Read(noise)
+	zeros := make([]byte, 2<<20)
+	skewed := append(stdGzip(t, zeros, 6), stdGzip(t, noise, 6)...)
 	for _, in := range []struct {
 		name   string
 		gz     []byte
+		want   []byte
 		budget float64
+		par    bool // also at two threads, where span buffers are sized by the same guess
 	}{
-		{"one member", gz, 1.5},
-		{"BGZF", bgzfStd(t, data), 2.5},
-		{"three members", three, 2.5},
+		{"one member", gz, data, 1.5, false},
+		{"BGZF", bgzfStd(t, data), data, 2.5, false},
+		{"three members", three, data, 2.5, false},
+		{"zeros then noise", skewed, append(zeros, noise...), 4, true},
 	} {
-		for name, run := range map[string]func() ([]byte, error){
+		runs := map[string]func() ([]byte, error){
 			"Decompress": func() ([]byte, error) {
 				out, _, err := Decompress(in.gz, Options{Threads: 1})
 				return out, err
 			},
 			"GunzipSequential": func() ([]byte, error) { return GunzipSequential(in.gz) },
-		} {
+		}
+		if in.par {
+			runs["Decompress T=2"] = func() ([]byte, error) {
+				out, _, err := Decompress(in.gz, Options{Threads: 2, MinChunk: 256 << 10})
+				return out, err
+			}
+		}
+		for name, run := range runs {
 			var out []byte
 			var err error
 			alloc := allocBytes(func() { out, err = run() })
-			if err != nil || !bytes.Equal(out, data) {
-				t.Fatalf("%s, %s: err=%v, output equal=%v", in.name, name, err, bytes.Equal(out, data))
+			if err != nil || !bytes.Equal(out, in.want) {
+				t.Fatalf("%s, %s: err=%v, output equal=%v", in.name, name, err, bytes.Equal(out, in.want))
 			}
-			ratio := float64(alloc) / float64(len(data))
+			ratio := float64(alloc) / float64(len(in.want))
 			t.Logf("%s, %s: %.2f bytes allocated per output byte", in.name, name, ratio)
 			if ratio > in.budget {
 				t.Errorf("%s, %s allocated %.2f bytes per output byte, budget %.1f", in.name, name, ratio, in.budget)

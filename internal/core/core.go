@@ -122,12 +122,12 @@ func (m *Metrics) SimulatedMakespan() time.Duration {
 // resident pipeline (NewPipelineBytes) and one member run, assembling
 // the output in one buffer.
 func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
-	p := NewPipelineBytes(payload, PipelineOptions{
+	var out []byte
+	p := NewPipelineBytes(payload, &out, PipelineOptions{
 		Threads: o.Threads, MinChunk: o.MinChunk, Confirmations: o.Confirmations,
 		ValidByte: o.ValidByte, Sequential: o.Sequential,
 	})
-	var out []byte
-	res, err := p.RunMemberOpts(MemberRun{Out: &out})
+	res, err := p.RunMemberOpts(MemberRun{})
 	if err != nil {
 		return nil, nil, err
 	}

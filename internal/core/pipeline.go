@@ -56,9 +56,9 @@ type Pipeline struct {
 	win       *srcbuf.Window
 	inner     Options
 	maxWindow int
-	n         int   // spans in flight
-	span      int64 // compressed bytes per span
-	resident  bool  // win is the whole source: spans are planned per member
+	n         int     // spans in flight
+	span      int64   // compressed bytes per span
+	out       *[]byte // a resident pipeline's output (NewPipelineBytes); nil when streaming
 
 	batches  atomic.Int64
 	outBytes atomic.Int64
@@ -85,13 +85,16 @@ func NewPipeline(r io.Reader, o PipelineOptions) *Pipeline {
 	return newPipeline(srcbuf.New(r, o.ReadSize, o.Prefetch), o)
 }
 
-// NewPipelineBytes returns a Pipeline whose window is data itself
-// (srcbuf.NewResident). Each member's extent, its declared Extent or
-// else the rest of data, is cut into min(Threads, extent/MinChunk)
-// spans, all of them in flight, instead of batch-sized ones.
-func NewPipelineBytes(data []byte, o PipelineOptions) *Pipeline {
+// NewPipelineBytes returns a resident Pipeline: its window is data
+// itself (srcbuf.NewResident), and every member it runs appends its
+// output to *out in place, so one output spans members (see
+// run.reserve for how it grows). Each member's extent, its declared
+// Extent or else the rest of data, is cut into min(Threads,
+// extent/MinChunk) spans, all of them in flight, instead of batch-sized
+// ones.
+func NewPipelineBytes(data []byte, out *[]byte, o PipelineOptions) *Pipeline {
 	p := newPipeline(srcbuf.NewResident(data), o)
-	p.resident = true
+	p.out = out
 	return p
 }
 
@@ -164,17 +167,13 @@ type Checkpoint struct {
 type MemberRun struct {
 	// Emit receives consecutive decompressed chunks, in order, each as
 	// soon as it is resolved. Output below SkipTo is never delivered.
-	// Required unless Out is set. Each slice is the callee's: it may
-	// retain it, or, once done with it, hand it back to the scheduler's
-	// buffer pool with RecycleOutput — the Reader does, after copying a
-	// chunk out; every other caller retains (or drops) what it is given.
-	// With Out set, each slice is a view into *Out instead.
+	// Required on a streaming Pipeline. Each slice is the callee's: it
+	// may retain it, or, once done with it, hand it back to the
+	// scheduler's buffer pool with RecycleOutput — the Reader does,
+	// after copying a chunk out; every other caller retains (or drops)
+	// what it is given. On a resident Pipeline (NewPipelineBytes) Emit
+	// is optional and each slice is a view into the output instead.
 	Emit func([]byte) error
-
-	// Out, when set, is the caller's output, which may span members:
-	// the member's bytes are appended to it in place (see run.reserve
-	// for how it grows).
-	Out *[]byte
 
 	// StartBit is the absolute source bit to start decoding at; <= 0
 	// selects the window's current base. It must be a true block
@@ -240,7 +239,7 @@ type MemberResult struct {
 	// Out is the member-relative decompressed offset at the member's
 	// end (the member's total decompressed size when OutBase was 0).
 	Out int64
-	// Metrics reports the run (its Chunks only with Out set).
+	// Metrics reports the run (its Chunks only on a resident Pipeline).
 	Metrics *Metrics
 }
 
@@ -272,7 +271,7 @@ func (p *Pipeline) RunMemberOpts(mr MemberRun) (MemberResult, error) {
 	if mr.Extent > 0 {
 		extEnd = startBit/8 + mr.Extent
 	}
-	if lim := p.win.Base() + int64(p.win.Len()); p.resident {
+	if lim := p.win.Base() + int64(p.win.Len()); p.out != nil {
 		if extEnd == 0 || extEnd > lim {
 			extEnd = lim
 		}
@@ -285,16 +284,16 @@ func (p *Pipeline) RunMemberOpts(mr MemberRun) (MemberResult, error) {
 		emit: mr.Emit, skipTo: mr.SkipTo, exact: exact,
 		emitted: &p.batches, outCounter: &p.outBytes, work: &p.work,
 	}
-	if mr.Out != nil {
-		r.resident, r.whole = true, *mr.Out
+	if p.out != nil {
+		r.resident, r.whole = true, *p.out
 	}
 	if checkpointing {
 		r.onCP, r.cpSpacing, r.nextCP = mr.OnCheckpoint, mr.CheckpointSpacing, mr.OutBase
 	}
 	r.start(startBit, mr.Context, mr.OutBase)
 	err := r.resolve()
-	if mr.Out != nil {
-		*mr.Out = r.whole
+	if p.out != nil {
+		*p.out = r.whole
 	}
 	if err != nil {
 		return MemberResult{}, err

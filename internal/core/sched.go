@@ -186,11 +186,8 @@ type run struct {
 	onCP       func(Checkpoint) error
 	nextCP     int64
 
-	// Expansion: the initial output-per-compressed-byte guess (the
-	// members before this one, in a resident output that holds them),
-	// and the member's start, against which the observed one is
+	// The member's start, against which its observed expansion is
 	// measured.
-	ratio    float64
 	startBit int64
 	outBase  int64
 
@@ -234,10 +231,6 @@ func (r *run) start(startBit int64, ctx []byte, outBase int64) {
 	if r.minChunk <= 0 {
 		r.minChunk = defaultMinChunk
 	}
-	r.ratio = initialRatio
-	if r.resident && len(r.whole) > 0 && r.first > 0 {
-		r.ratio = float64(len(r.whole))/float64(r.first)*1.1 + 0.1
-	}
 	if !r.o.Sequential { // Sequential: tasks run inline, never taken over
 		r.workers = min(r.n, runtime.GOMAXPROCS(0)) - 1
 	}
@@ -275,15 +268,15 @@ func (r *run) bounds(k int64) (lo, hi int64, ok bool) {
 }
 
 // estimate returns the expected output of the compressed bytes from
-// lo to end (absolute), from the member's expansion so far (or the
-// run's initial guess); bytes past the end of a finished source count
-// for nothing.
+// lo to end (absolute), from the member's expansion so far (or
+// initialRatio); bytes past the end of a finished source count for
+// nothing.
 func (r *run) estimate(lo, end int64) int {
 	if lim, eof := r.src.limit(); eof {
 		end = min(end, lim)
 	}
 	compressed := max(end-lo, 0)
-	ratio := r.ratio
+	ratio := float64(initialRatio)
 	if consumed := r.bit/8 - r.startBit/8; consumed > 0 && r.out > r.outBase {
 		ratio = float64(r.out-r.outBase)/float64(consumed)*1.1 + 0.1
 	}
@@ -891,17 +884,22 @@ func (r *run) checkpoints(c *chunk, prev, out []byte) error {
 // must grow the output, it grows it for the rest of the source at the
 // expansion seen so far (members before this one included), so a file
 // of many members grows its one output a few times, not once a member.
-// With nothing seen yet it grows by n.
+// The expansion of earlier members need not carry over (a run of zeros
+// before random bytes), so that estimate is capped at the larger of
+// initialRatio times the compressed bytes left, the guess a fresh
+// member starts from, and three times what the output holds.
 func (r *run) reserve(n int) {
 	if cap(r.whole)-len(r.whole) >= n {
 		return
 	}
-	size := len(r.whole) + n
-	if len(r.whole) > 0 {
+	held, grow := len(r.whole), n
+	if consumed := r.bit / 8; held > 0 && consumed > 0 {
 		lim, _ := r.src.limit()
-		size = max(size, len(r.whole)+r.estimate(r.bit/8, lim))
+		left := float64(lim - consumed)
+		rest := left * (float64(held)/float64(consumed)*1.1 + 0.1)
+		grow = max(n, int(min(rest, max(left*initialRatio, 3*float64(held)))))
 	}
-	r.whole = append(make([]byte, 0, size), r.whole...)
+	r.whole = append(make([]byte, 0, held+grow), r.whole...)
 }
 
 // verifyEquivalentStart checks that decoding one block at trueBit (the

@@ -16,72 +16,64 @@ import (
 type memberWalk struct {
 	p        *core.Pipeline
 	verify   bool
-	out      *[]byte             // Decompress's output, which spans members
-	emit     func([]byte) error  // the Reader's chunk hand-off
+	emit     func([]byte) error  // the Reader's chunk hand-off; nil on a resident pipeline
 	cs       cursorState         // the first member's resume point and checkpoints; the skip bound
 	onMember func(*core.Metrics) // runs once a member's trailer passed its checks
-
-	ready      bool  // a member's header (or cs.resume) is read and its payload not yet decoded
-	extent     int64 // its declared payload length, 0 when unknown
-	decoded    bool  // a member's payload is decoded and its trailer not yet read
-	res        core.MemberResult
-	crc, isize uint32
-	outBase    int64 // stream offset of the current member's first output byte
 }
 
-// walk decodes members in order until the stream ends or one fails.
-func (w *memberWalk) walk() error {
-	for {
-		if more, err := w.next(); !more {
-			return err
-		}
-		if err := w.decode(); err != nil {
-			return err
-		}
-	}
-}
-
-// next is where member framing is parsed. It finishes the member just
-// decoded, if any: it reads the trailer, which starts at the byte after
-// the final block, and with verify checks it. Then, unless a member is
-// ready already, it reads the next header. more is false on error and
-// at a clean end of the stream (no byte where a header would start).
-func (w *memberWalk) next() (more bool, err error) {
-	if w.ready {
-		return true, nil
-	}
+// header reads the next member's header and returns its declared
+// payload length (0 when unknown). more is false on error and at a
+// clean end of the stream: no byte where a header would start.
+func (w *memberWalk) header() (extent int64, more bool, err error) {
 	win := w.p.Window()
-	if w.decoded {
-		w.decoded = false
-		win.DiscardTo((w.res.EndBit + 7) / 8)
-		crc, isize, err := gzipx.ReadTrailer(win)
-		switch {
-		case err != nil:
-			return false, err
-		case w.verify && crc != w.crc:
-			return false, fmt.Errorf("%w: CRC-32", ErrChecksum)
-		case w.verify && isize != w.isize:
-			return false, fmt.Errorf("%w: ISIZE", ErrChecksum)
-		}
-		w.onMember(w.res.Metrics)
-	}
 	if err := win.Fill(1); err != nil || win.Len() == 0 {
-		return false, err
+		return 0, false, err
 	}
 	m, err := gzipx.ReadHeader(win)
-	w.extent, w.ready = int64(m.PayloadLen()), err == nil
-	return w.ready, err
+	return int64(m.PayloadLen()), err == nil, err
 }
 
-// decode runs the ready member's payload on the scheduler.
-func (w *memberWalk) decode() error {
-	mr := core.MemberRun{Out: w.out, Emit: w.emit, Extent: w.extent}
+// walk decodes members in order until the stream ends or one fails,
+// starting with a member whose header is read already (or, with
+// cs.resume, at a point inside the first member): extent is its
+// declared payload length. The trailer starts at the byte after each
+// member's final block.
+func (w *memberWalk) walk(extent int64) error {
+	win := w.p.Window()
+	var outBase int64 // stream offset of the member's first output byte
+	for more := true; more; {
+		res, crc, isize, err := w.decode(extent, outBase)
+		if err != nil {
+			return err
+		}
+		win.DiscardTo((res.EndBit + 7) / 8)
+		wantCRC, wantISize, err := gzipx.ReadTrailer(win)
+		switch {
+		case err != nil:
+			return err
+		case w.verify && crc != wantCRC:
+			return fmt.Errorf("%w: CRC-32", ErrChecksum)
+		case w.verify && isize != wantISize:
+			return fmt.Errorf("%w: ISIZE", ErrChecksum)
+		}
+		w.onMember(res.Metrics)
+		outBase += res.Out
+		if extent, more, err = w.header(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decode runs one member's payload on the scheduler, returning the
+// CRC-32 and size of its output when verifying.
+func (w *memberWalk) decode(extent, outBase int64) (res core.MemberResult, crc, isize uint32, err error) {
+	mr := core.MemberRun{Emit: w.emit, Extent: extent}
 	if w.verify {
-		w.crc, w.isize = 0, 0
 		mr.Emit = func(b []byte) error {
 			// Before emit: the Reader's consumer owns b from there on.
-			w.crc = crc32.Update(w.crc, crc32.IEEETable, b)
-			w.isize += uint32(len(b))
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+			isize += uint32(len(b))
 			if w.emit == nil {
 				return nil
 			}
@@ -98,17 +90,12 @@ func (w *memberWalk) decode() error {
 			return nil
 		}
 	}
-	if w.cs.skipTo > w.outBase {
-		mr.SkipTo = w.cs.skipTo - w.outBase
+	if w.cs.skipTo > outBase {
+		mr.SkipTo = w.cs.skipTo - outBase
 	}
-	res, err := w.p.RunMemberOpts(mr)
-	if err != nil {
-		return err
-	}
+	res, err = w.p.RunMemberOpts(mr)
 	// Checkpoints carry first-member offsets only, matching the Index
 	// surface; later members decode without the side-channel.
 	w.cs.resume, w.cs.onCheckpoint = nil, nil
-	w.res, w.ready, w.decoded = res, false, true
-	w.outBase += res.Out
-	return nil
+	return res, crc, isize, err
 }

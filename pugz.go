@@ -149,15 +149,19 @@ var ErrChecksum = errors.New("pugz: checksum mismatch")
 // expansion observed so far. The result is that buffer, not a copy of
 // it; a file with no output bytes yields nil.
 func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
-	p := core.NewPipelineBytes(gz, core.PipelineOptions{
+	out := make([]byte, 0, gzipx.SizeHint(gz))
+	p := core.NewPipelineBytes(gz, &out, core.PipelineOptions{
 		Threads:    o.Threads,
 		MinChunk:   o.MinChunk,
 		Sequential: o.Sequential,
 	})
-	out := make([]byte, 0, gzipx.SizeHint(gz))
 	stats := &Stats{}
-	w := &memberWalk{p: p, verify: o.VerifyChecksums, out: &out, onMember: stats.addMember}
-	if err := w.walk(); err != nil {
+	w := &memberWalk{p: p, verify: o.VerifyChecksums, onMember: stats.addMember}
+	extent, more, err := w.header() // a zero-byte file is zero members
+	if more {
+		err = w.walk(extent)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(out) == 0 {

@@ -143,16 +143,20 @@ func newCursorReader(src io.Reader, o StreamOptions, cs cursorState) (*Reader, e
 	r.w = memberWalk{
 		p: p, verify: o.VerifyChecksums, cs: cs, emit: r.hand,
 		onMember: func(*core.Metrics) { r.members.Add(1) },
-		ready:    cs.resume != nil, // a resumed cursor starts mid-member
 	}
-	if more, err := r.w.next(); !more {
-		p.Close()
-		if err == nil {
-			err = gzipx.ErrTruncated // a zero-byte source
+	var extent int64
+	if cs.resume == nil { // a resumed cursor starts mid-member
+		e, more, err := r.w.header()
+		if !more {
+			p.Close()
+			if err == nil {
+				err = gzipx.ErrTruncated // a zero-byte source
+			}
+			return nil, err
 		}
-		return nil, err
+		extent = e
 	}
-	go r.run()
+	go r.run(extent)
 	return r, nil
 }
 
@@ -179,11 +183,12 @@ func (readerClosedError) Error() string { return "pugz: read on closed reader" }
 // closed os.File reports.
 func (readerClosedError) Is(target error) bool { return target == os.ErrClosed }
 
-// run walks the members on the Reader's worker goroutine.
-func (r *Reader) run() {
+// run walks the members on the Reader's worker goroutine, from the
+// first, whose header declared extent.
+func (r *Reader) run(extent int64) {
 	defer close(r.batches)
 	defer r.w.p.Window().Recycle()
-	if err := r.w.walk(); err != nil {
+	if err := r.w.walk(extent); err != nil {
 		r.fail(err)
 	}
 }

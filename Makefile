@@ -86,13 +86,13 @@ race-cmd:
 # Short-iteration fuzz smoke over the differential targets: enough to
 # replay the checked-in corpus plus a burst of fresh mutations (the
 # last target pins the fast token kernel to the scalar loop), and the
-# parallel index build against the sequential one. The sidecar target's
-# inputs are whole indexes, the kernel target's multi-block streams and
-# the index-build target's plaintexts tens of KiB, which the engine
-# would otherwise spend the whole smoke minimizing.
+# parallel index build against the sequential one. Every target caps
+# minimization at 1 s: a new input found early would otherwise take the
+# rest of the budget to minimize (whole indexes, multi-block streams and
+# plaintexts of tens of KiB are slow to shrink).
 fuzz-smoke:
-	$(GO) test . -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
-	$(GO) test . -run '^$$' -fuzz FuzzNewReader -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test . -run '^$$' -fuzz FuzzNewReader -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test . -run '^$$' -fuzz FuzzIndexBuildParity -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/gzindex -run '^$$' -fuzz FuzzIndexUnmarshal -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/flate -run '^$$' -fuzz FuzzFastScalarParity -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

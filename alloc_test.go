@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/baseline"
 )
 
 // allocBytes returns the bytes f allocates in one call, measured after a
@@ -50,7 +52,7 @@ func TestDecompressAllocBudget(t *testing.T) {
 	var three []byte
 	for rest := data; len(rest) > 0; {
 		n := min(len(rest), 1<<20)
-		m, err := Compress(rest[:n], 6)
+		m, err := baseline.Compress(rest[:n], 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +155,7 @@ func TestDecompressManyMembersTinyLast(t *testing.T) {
 		case i%3 == 1:
 			part = text[i*1000 : i*1000+5000]
 		}
-		m, err := Compress(part, 6)
+		m, err := baseline.Compress(part, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +179,7 @@ func TestDecompressManyMembersTinyLast(t *testing.T) {
 // TestDecompressAllEmptyMembersIsNil: a file of empty members decodes
 // to a nil slice, as it did when every member was appended to nil.
 func TestDecompressAllEmptyMembersIsNil(t *testing.T) {
-	empty, err := Compress(nil, 6)
+	empty, err := baseline.Compress(nil, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/blockfind"
 	"repro/internal/deflate"
 	"repro/internal/dna"
@@ -44,7 +45,7 @@ func loadFixtures(b *testing.B) {
 	fixOnce.Do(func() {
 		fixFastq = fastq.Generate(fastq.GenOptions{Reads: 40_000, Seed: 1234})
 		mk := func(level int) []byte {
-			gz, err := pugz.Compress(fixFastq, level)
+			gz, err := baseline.Compress(fixFastq, level)
 			if err != nil {
 				panic(err)
 			}
@@ -54,7 +55,7 @@ func loadFixtures(b *testing.B) {
 		fixGzLow = mk(1)
 		fixGzHigh = mk(9)
 		d := dna.Random(1_000_000, 77)
-		gz, err := pugz.Compress(d, 6)
+		gz, err := baseline.Compress(d, 6)
 		if err != nil {
 			panic(err)
 		}
@@ -268,7 +269,7 @@ func BenchmarkCompressLevels(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := pugz.Compress(data, level); err != nil {
+				if _, err := baseline.Compress(data, level); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -303,7 +304,7 @@ func BenchmarkBaselineIndexReadAt(b *testing.B) {
 func BenchmarkBaselineBGZF(b *testing.B) {
 	b.ReportAllocs()
 	loadFixtures(b)
-	bz, err := pugz.CompressBGZF(fixFastq, 6)
+	bz, err := baseline.CompressBGZF(fixFastq, 6)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func BenchmarkBaselineBGZF(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(bz)))
 			for i := 0; i < b.N; i++ {
-				if _, err := pugz.DecompressBGZF(bz, th); err != nil {
+				if _, err := baseline.DecompressBGZF(bz, th); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -459,7 +460,7 @@ func BenchmarkGuesser(b *testing.B) {
 	b.SetBytes(int64(len(masked)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = pugz.GuessUndetermined(masked, int64(i))
+		_ = baseline.GuessUndetermined(masked, int64(i))
 	}
 }
 
@@ -474,7 +475,7 @@ func BenchmarkCompressParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := pugz.CompressParallel(data, 6, th); err != nil {
+				if _, err := baseline.CompressParallel(data, 6, th); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -800,7 +801,7 @@ func BenchmarkRecordScan(b *testing.B) {
 
 func mustCompress(b *testing.B, data []byte, level int) []byte {
 	b.Helper()
-	gz, err := pugz.Compress(data, level)
+	gz, err := baseline.Compress(data, level)
 	if err != nil {
 		b.Fatal(err)
 	}

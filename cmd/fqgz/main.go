@@ -81,7 +81,7 @@ func main() {
 
 	res, err := f.RandomAccessAt(offset, pugz.RandomAccessOptions{
 		MaxOutput: *maxOut,
-		MinSeqLen: *minLen,
+		Framer:    pugz.FASTQFraming{MinLen: *minLen},
 	})
 	if err != nil {
 		fatal(err)
@@ -89,7 +89,7 @@ func main() {
 
 	if *summary {
 		clean, dirty := 0, 0
-		for _, s := range res.Sequences {
+		for _, s := range res.Records {
 			if s.Unambiguous() {
 				clean++
 			} else {
@@ -99,7 +99,7 @@ func main() {
 		fmt.Printf("offset %d: synced to payload bit %d\n", offset, res.BlockBit)
 		fmt.Printf("decoded %d bytes across %d blocks\n", len(res.Text), len(res.Blocks))
 		fmt.Printf("sequences: %d total, %d unambiguous, %d with undetermined chars\n",
-			len(res.Sequences), clean, dirty)
+			len(res.Records), clean, dirty)
 		if res.FirstResolvedBlock >= 0 {
 			fmt.Printf("first sequence-resolved block: #%d after %.2f MB\n",
 				res.FirstResolvedBlock, float64(res.DelayBytes)/1e6)
@@ -114,11 +114,11 @@ func main() {
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	for i, s := range res.Sequences {
+	for i, s := range res.Records {
 		if *clean && !s.Unambiguous() {
 			continue
 		}
-		fmt.Fprintf(w, ">seq_%d offset=%d undetermined=%d\n%s\n", i, s.Offset, s.Undetermined, s.Seq)
+		fmt.Fprintf(w, ">seq_%d offset=%d undetermined=%d\n%s\n", i, s.Offset, s.Undetermined, s.Data)
 	}
 }
 

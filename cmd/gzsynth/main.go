@@ -24,7 +24,7 @@ import (
 	"strconv"
 	"strings"
 
-	pugz "repro"
+	"repro/baseline"
 	"repro/internal/dna"
 	"repro/internal/fastq"
 	"repro/internal/framing"
@@ -87,9 +87,9 @@ func main() {
 	case *members > 1:
 		gz, err = multiMember(data, *members, cycle)
 	case *threads > 1:
-		gz, err = pugz.CompressParallel(data, cycle[0], *threads)
+		gz, err = baseline.CompressParallel(data, cycle[0], *threads)
 	default:
-		gz, err = pugz.CompressNamed(data, cycle[0], *out)
+		gz, err = baseline.CompressNamed(data, cycle[0], *out)
 	}
 	if err != nil {
 		fatal(err)
@@ -133,7 +133,7 @@ func multiMember(data []byte, n int, cycle []int) ([]byte, error) {
 		if ext > len(data) {
 			ext = len(data)
 		}
-		gz, err := pugz.Compress(data[:ext], cycle[i%len(cycle)])
+		gz, err := baseline.Compress(data[:ext], cycle[i%len(cycle)])
 		if err != nil {
 			return nil, err
 		}

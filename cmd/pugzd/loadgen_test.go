@@ -10,6 +10,7 @@ import (
 	"time"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 	"repro/internal/serve"
 )
@@ -21,7 +22,7 @@ func TestRunLoadgen(t *testing.T) {
 	dir := t.TempDir()
 	for i, seed := range []int64{21, 22} {
 		data := fastq.Generate(fastq.GenOptions{Reads: 800, Seed: seed})
-		gz, err := pugz.Compress(data, 6)
+		gz, err := baseline.Compress(data, 6)
 		if err != nil {
 			t.Fatal(err)
 		}

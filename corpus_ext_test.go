@@ -10,7 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
@@ -33,7 +33,7 @@ func extFastq(reads int, seed int64) []byte {
 	return b
 }
 
-// extGz returns the cached pugz.Compress of extFastq(reads, seed) at
+// extGz returns the cached baseline.Compress of extFastq(reads, seed) at
 // the given level. The slice is shared: callers must not mutate it.
 func extGz(tb testing.TB, reads int, seed int64, level int) []byte {
 	tb.Helper()
@@ -44,7 +44,7 @@ func extGz(tb testing.TB, reads int, seed int64, level int) []byte {
 	if gz, ok := extCorpusGz[key]; ok {
 		return gz
 	}
-	gz, err := pugz.Compress(data, level)
+	gz, err := baseline.Compress(data, level)
 	if err != nil {
 		tb.Fatal(err)
 	}

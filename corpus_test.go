@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
@@ -34,7 +35,7 @@ func genFastq(reads int, seed int64) []byte {
 	return b
 }
 
-// gzCorpus returns the cached pugz.Compress result of genFastq(reads,
+// gzCorpus returns the cached baseline.Compress result of genFastq(reads,
 // seed) at the given level. The slice is shared: callers must not
 // mutate it.
 func gzCorpus(tb testing.TB, reads int, seed int64, level int) []byte {
@@ -46,7 +47,7 @@ func gzCorpus(tb testing.TB, reads int, seed int64, level int) []byte {
 	if gz, ok := corpusGz[key]; ok {
 		return gz
 	}
-	gz, err := Compress(data, level)
+	gz, err := baseline.Compress(data, level)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package pugz
 // Differential tests: every compression level, both directions,
 // against the standard library's compress/gzip. These lock down the
 // byte-exactness claims the paper makes (and that the streaming
-// refactor must preserve): pugz.Compress output must be readable by
+// refactor must preserve): baseline.Compress output must be readable by
 // any gzip, and any gzip's output must decompress byte-identically
 // through both the slice API and the streaming API at any thread
 // count.
@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"repro/baseline"
 )
 
 // stdGzip compresses with the standard library at the given level.
@@ -54,7 +56,7 @@ func streamDecompress(t *testing.T, gz []byte, o StreamOptions) ([]byte, error) 
 	return io.ReadAll(r)
 }
 
-// TestDifferentialCompressVsStdlib: pugz.Compress at every level must
+// TestDifferentialCompressVsStdlib: baseline.Compress at every level must
 // be decodable by compress/gzip, byte-identically.
 func TestDifferentialCompressVsStdlib(t *testing.T) {
 	inputs := map[string][]byte{
@@ -64,7 +66,7 @@ func TestDifferentialCompressVsStdlib(t *testing.T) {
 	}
 	for name, data := range inputs {
 		for level := 0; level <= 9; level++ {
-			gz, err := Compress(data, level)
+			gz, err := baseline.Compress(data, level)
 			if err != nil {
 				t.Fatalf("%s level %d: compress: %v", name, level, err)
 			}
@@ -162,7 +164,7 @@ func TestDifferentialMultiMember(t *testing.T) {
 	for i, p := range parts {
 		want = append(want, p...)
 		if i%2 == 0 {
-			m, err := Compress(p, 1+i*3) // pugz levels 1, 7
+			m, err := baseline.Compress(p, 1+i*3) // levels 1, 7
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +207,7 @@ func TestDifferentialParallelCompress(t *testing.T) {
 	data := genFastq(8000, 75)
 	var first []byte
 	for _, threads := range []int{1, 2, 4, 7} {
-		gz, err := CompressParallel(data, 6, threads)
+		gz, err := baseline.CompressParallel(data, 6, threads)
 		if err != nil {
 			t.Fatalf("threads %d: %v", threads, err)
 		}
@@ -224,7 +226,7 @@ func TestDifferentialParallelCompress(t *testing.T) {
 	}
 }
 
-// TestDifferentialRoundTripMatrix drives pugz.Compress straight into
+// TestDifferentialRoundTripMatrix drives baseline.Compress straight into
 // pugz's own readers across levels and thread counts, cross-checked
 // with the stdlib — the full commutation square on one input.
 func TestDifferentialRoundTripMatrix(t *testing.T) {

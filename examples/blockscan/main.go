@@ -11,12 +11,13 @@ import (
 	"time"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
 func main() {
 	data := fastq.Generate(fastq.GenOptions{Reads: 30_000, Seed: 3})
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

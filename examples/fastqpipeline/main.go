@@ -14,6 +14,7 @@ import (
 	"time"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/dna"
 	"repro/internal/fastq"
 )
@@ -21,7 +22,7 @@ import (
 func main() {
 	// ~25 MB of reads, gzipped at the default level.
 	data := fastq.Generate(fastq.GenOptions{Reads: 100_000, Seed: 11})
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

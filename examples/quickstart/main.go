@@ -14,6 +14,7 @@ import (
 	"runtime"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
@@ -21,7 +22,7 @@ func main() {
 	// 1. Make a FASTQ file (50k reads, ~12 MB) and gzip it at the
 	// default level — the exact shape of real sequencing data inputs.
 	data := fastq.Generate(fastq.GenOptions{Reads: 50_000, Seed: 1})
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

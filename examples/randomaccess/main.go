@@ -11,6 +11,7 @@ import (
 	"log"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
@@ -18,7 +19,7 @@ func main() {
 	// A low-compression FASTQ file: the case the paper shows is
 	// virtually exact for random access (Table I, "lowest" row).
 	data := fastq.Generate(fastq.GenOptions{Reads: 40_000, Seed: 7})
-	gz, err := pugz.Compress(data, 1)
+	gz, err := baseline.Compress(data, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,13 +45,13 @@ func main() {
 	}
 
 	clean := 0
-	for _, s := range res.Sequences {
+	for _, s := range res.Records {
 		if s.Unambiguous() {
 			clean++
 		}
 	}
 	fmt.Printf("extracted %d DNA-like sequences, %d unambiguous (%.1f%%)\n",
-		len(res.Sequences), clean, 100*float64(clean)/float64(len(res.Sequences)))
+		len(res.Records), clean, 100*float64(clean)/float64(len(res.Records)))
 
 	if frac, ok := res.UnambiguousAfterResolved(); ok {
 		fmt.Printf("after the first sequence-resolved block: %.1f%% unambiguous\n", frac*100)
@@ -59,9 +60,9 @@ func main() {
 	// Show a few fully resolved reads.
 	fmt.Println("\nsample extracted sequences:")
 	shown := 0
-	for _, s := range res.Sequences {
-		if s.Unambiguous() && len(s.Seq) >= 60 {
-			fmt.Printf("  %s...\n", s.Seq[:60])
+	for _, s := range res.Records {
+		if s.Unambiguous() && len(s.Data) >= 60 {
+			fmt.Printf("  %s...\n", s.Data[:60])
 			shown++
 			if shown == 3 {
 				break

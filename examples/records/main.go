@@ -20,6 +20,7 @@ import (
 	"log"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/framing"
 )
 
@@ -33,7 +34,7 @@ func main() {
 	for i, level := range []int{0, 1, 6, 9} {
 		lo := i * per
 		hi := min(lo+per, len(data))
-		m, err := pugz.Compress(data[lo:hi], level)
+		m, err := baseline.Compress(data[lo:hi], level)
 		if err != nil {
 			log.Fatal(err)
 		}

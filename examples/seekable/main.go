@@ -10,13 +10,14 @@ import (
 	"log"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
 func main() {
 	// A ~12 MB synthetic FASTQ corpus, gzip level 6.
 	data := fastq.Generate(fastq.GenOptions{Reads: 50000, Seed: 7})
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func main() {
 		log.Fatal(err)
 	}
 	clean := 0
-	for _, s := range res.Sequences {
+	for _, s := range res.Records {
 		if s.Unambiguous() {
 			clean++
 		}
 	}
 	fmt.Printf("RandomAccessAt(50%% compressed): %d sequences, %d fully resolved\n",
-		len(res.Sequences), clean)
+		len(res.Records), clean)
 }

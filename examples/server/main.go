@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 	"repro/internal/serve"
 )
@@ -31,7 +32,7 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	reads := fastq.Generate(fastq.GenOptions{Reads: 20_000, Seed: 1})
-	gz, err := pugz.Compress(reads, 6)
+	gz, err := baseline.Compress(reads, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	pugz "repro"
+	"repro/baseline"
 )
 
 // edgeFile opens the fixture in the three configurations the server
@@ -103,7 +104,7 @@ func TestFileReadAtEOFEdges(t *testing.T) {
 // TestFileEmptyMember pins the degenerate blob the server must still
 // answer deterministically: a gzip member with an empty payload.
 func TestFileEmptyMember(t *testing.T) {
-	gz, err := pugz.Compress(nil, 6)
+	gz, err := baseline.Compress(nil, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

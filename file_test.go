@@ -259,9 +259,9 @@ func TestFileRandomAccessAt(t *testing.T) {
 	if !bytes.Equal(gotRes.Text, wantRes.Text) {
 		t.Fatal("random-access text mismatch between slice and ReaderAt sources")
 	}
-	if len(gotRes.Blocks) != len(wantRes.Blocks) || len(gotRes.Sequences) != len(wantRes.Sequences) {
-		t.Fatalf("structure mismatch: %d/%d blocks, %d/%d sequences",
-			len(gotRes.Blocks), len(wantRes.Blocks), len(gotRes.Sequences), len(wantRes.Sequences))
+	if len(gotRes.Blocks) != len(wantRes.Blocks) || len(gotRes.Records) != len(wantRes.Records) {
+		t.Fatalf("structure mismatch: %d/%d blocks, %d/%d records",
+			len(gotRes.Blocks), len(wantRes.Blocks), len(gotRes.Records), len(wantRes.Records))
 	}
 	for i := range gotRes.Blocks {
 		if gotRes.Blocks[i] != wantRes.Blocks[i] {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/baseline"
 	"repro/internal/gzindex"
 	"repro/internal/gzipx"
 )
@@ -33,24 +34,24 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		big = append(big, text...)
 	}
 	for _, level := range []int{0, 1, 6, 9} {
-		gz, err := Compress(big, level)
+		gz, err := baseline.Compress(big, level)
 		if err != nil {
 			f.Fatal(err)
 		}
 		add(gz)
 	}
-	empty, err := Compress(nil, 6)
+	empty, err := baseline.Compress(nil, 6)
 	if err != nil {
 		f.Fatal(err)
 	}
 	add(empty)
-	named, err := CompressNamed(text, 6, "reads.fastq")
+	named, err := baseline.CompressNamed(text, 6, "reads.fastq")
 	if err != nil {
 		f.Fatal(err)
 	}
 	add(named)
-	m1, _ := Compress(text, 1)
-	m2, _ := Compress(big, 9)
+	m1, _ := baseline.Compress(text, 1)
+	m2, _ := baseline.Compress(big, 9)
 	multi := append(append(append([]byte{}, m1...), empty...), m2...)
 	add(multi)
 	// Skip-mode seed: large enough output (~44 KiB) that a deep
@@ -60,7 +61,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	for i := 0; i < 768; i++ {
 		wide = append(wide, text...)
 	}
-	skipSeed, err := Compress(wide, 0)
+	skipSeed, err := baseline.Compress(wide, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	for i := range dense {
 		dense[i] = "eetta o"[i*2654435761>>27%7]
 	}
-	denseSeed, err := Compress(dense, 9)
+	denseSeed, err := baseline.Compress(dense, 9)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func FuzzIndexBuildParity(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		plain = bytes.Repeat(plain, 1+int(reps%16))
-		gz, err := Compress(plain, []int{0, 1, 6, 9}[level%4])
+		gz, err := baseline.Compress(plain, []int{0, 1, 6, 9}[level%4])
 		if err != nil {
 			t.Fatal(err)
 		}

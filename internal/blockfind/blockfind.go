@@ -35,21 +35,15 @@ const DefaultConfirmations = 5
 // range.
 var ErrNotFound = errors.New("blockfind: no block start found")
 
-// discard is a flate.Visitor that ignores all tokens: the scanner only
-// cares whether decoding succeeds.
-type discard struct{}
-
-func (discard) BlockStart(flate.BlockEvent) error { return nil }
-func (discard) Literal(byte) error                { return nil }
-func (discard) Match(int, int) error              { return nil }
-func (discard) BlockEnd(int64) error              { return nil }
-
 // Finder scans for block starts. It owns reusable decoder scratch and
 // is not safe for concurrent use; create one per goroutine.
 type Finder struct {
 	candidate *flate.Decoder
 	confirm   *flate.Decoder
 	reader    *bitio.Reader
+	// sink absorbs the probe decodes' tokens: the scanner only cares
+	// whether decoding succeeds.
+	sink flate.CountingSink
 	// Confirmations is the number of extra blocks that must decode
 	// after the candidate (default DefaultConfirmations).
 	Confirmations int
@@ -109,7 +103,6 @@ func (f *Finder) NextBefore(data []byte, fromBit, limitBit int64) (int64, error)
 		(len(data) > 0 && &f.reader.Data()[0] != &data[0]) {
 		f.reader = bitio.NewReader(data)
 	}
-	var sink discard
 	for bit := fromBit; bit < limitBit; bit++ {
 		if f.Stop != nil && f.Stop.Load() {
 			return 0, ErrStopped
@@ -118,7 +111,7 @@ func (f *Finder) NextBefore(data []byte, fromBit, limitBit int64) (int64, error)
 		if err := f.reader.Reset(bit); err != nil {
 			return 0, err
 		}
-		if _, err := f.candidate.DecodeBlock(f.reader, sink); err != nil {
+		if _, err := f.candidate.DecodeBlock(f.reader, &f.sink); err != nil {
 			f.Stats.Rejects++
 			continue
 		}
@@ -145,9 +138,8 @@ func (f *Finder) NextBefore(data []byte, fromBit, limitBit int64) (int64, error)
 // Confirming such a candidate used to send the engine decoding past
 // the end of the stream on stored-heavy (level-0) inputs.
 func (f *Finder) confirmFrom(data []byte) bool {
-	var sink discard
 	for i := 0; i < f.Confirmations; i++ {
-		final, err := f.confirm.DecodeBlock(f.reader, sink)
+		final, err := f.confirm.DecodeBlock(f.reader, &f.sink)
 		if err != nil {
 			return false
 		}

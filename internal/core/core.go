@@ -47,10 +47,11 @@ type Options struct {
 	// at a time on the resolver's goroutine, and never takes a span
 	// over. Output is identical; the point is measurement: on a host
 	// with fewer cores than chunks, concurrent goroutines contend and
-	// their wall times say nothing about per-chunk cost. Sequential mode gives each chunk the whole
-	// machine, so ChunkMetrics are true isolated costs and
-	// Metrics.SimulatedMakespan models a machine with one free core
-	// per chunk (how Figure 5's scaling shape is reproduced here).
+	// their wall times say nothing about per-chunk cost. Sequential
+	// mode gives each chunk the whole machine, so ChunkMetrics are true
+	// isolated costs, from which cmd/experiments models a machine with
+	// one free core per chunk (how Figure 5's scaling shape is
+	// reproduced here).
 	Sequential bool
 }
 
@@ -86,35 +87,6 @@ type Metrics struct {
 	// PayloadEndBit is the bit offset just past the final block: the
 	// gzip trailer begins at the next byte boundary.
 	PayloadEndBit int64
-}
-
-// WorkSeconds returns the total CPU work across chunks (find + pass1 +
-// pass2), which on a single-core host approximates the wall time and
-// on a multi-core host approximates threads x wall.
-func (m *Metrics) WorkSeconds() float64 {
-	var d time.Duration
-	for _, c := range m.Chunks {
-		d += c.Find + c.Pass1 + c.Pass2
-	}
-	return d.Seconds()
-}
-
-// SimulatedMakespan models the wall-clock a machine with as many free
-// cores as chunks would achieve: the slowest (find+pass1) chunk, plus
-// the sequential window propagation, plus the slowest translation.
-// It lets the scaling *shape* of Figure 5 be reproduced on hosts with
-// fewer physical cores than the paper's 24 (cmd/experiments -run fig5).
-func (m *Metrics) SimulatedMakespan() time.Duration {
-	var maxP1, maxP2 time.Duration
-	for _, c := range m.Chunks {
-		if p := c.Find + c.Pass1; p > maxP1 {
-			maxP1 = p
-		}
-		if c.Pass2 > maxP2 {
-			maxP2 = c.Pass2
-		}
-	}
-	return maxP1 + m.Pass2SeqWall + maxP2
 }
 
 // DecompressPayload decompresses a raw DEFLATE stream (no gzip

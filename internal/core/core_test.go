@@ -124,12 +124,6 @@ func TestChunkMetricsConsistent(t *testing.T) {
 	if sum != int64(len(out)) {
 		t.Fatalf("chunk bytes sum %d != output %d", sum, len(out))
 	}
-	if m.SimulatedMakespan() <= 0 {
-		t.Fatal("simulated makespan must be positive")
-	}
-	if m.WorkSeconds() <= 0 {
-		t.Fatal("work seconds must be positive")
-	}
 }
 
 // TestSymbolsGetResolved checks that mid-stream chunks actually start

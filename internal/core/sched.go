@@ -917,36 +917,24 @@ func verifyEquivalentStart(data []byte, base, trueBit int64, next *chunk) error 
 	if err != nil {
 		return err
 	}
-	var probe probeSink
+	var probe flate.CountingSink
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
 	if _, err := dec.DecodeBlock(r, &probe); err != nil {
 		return fmt.Errorf("probe decode at bit %d: %w", trueBit, err)
 	}
 	switch {
-	case probe.ev.Type != got.Event.Type:
-		return fmt.Errorf("block type mismatch: %v vs %v", probe.ev.Type, got.Event.Type)
-	case base+probe.ev.DataBit != next.base+got.Event.DataBit:
-		return fmt.Errorf("data bit mismatch: %d vs %d", base+probe.ev.DataBit, next.base+got.Event.DataBit)
-	case base+probe.endBit != next.base+got.EndBit:
-		return fmt.Errorf("end bit mismatch: %d vs %d", base+probe.endBit, next.base+got.EndBit)
-	case probe.bytes != got.OutEnd-got.OutStart:
-		return fmt.Errorf("block size mismatch: %d vs %d", probe.bytes, got.OutEnd-got.OutStart)
+	case probe.Event.Type != got.Event.Type:
+		return fmt.Errorf("block type mismatch: %v vs %v", probe.Event.Type, got.Event.Type)
+	case base+probe.Event.DataBit != next.base+got.Event.DataBit:
+		return fmt.Errorf("data bit mismatch: %d vs %d", base+probe.Event.DataBit, next.base+got.Event.DataBit)
+	case base+probe.EndBit != next.base+got.EndBit:
+		return fmt.Errorf("end bit mismatch: %d vs %d", base+probe.EndBit, next.base+got.EndBit)
+	case probe.Bytes != got.OutEnd-got.OutStart:
+		return fmt.Errorf("block size mismatch: %d vs %d", probe.Bytes, got.OutEnd-got.OutStart)
 	}
 	return nil
 }
-
-// probeSink counts one block's output without materialising it.
-type probeSink struct {
-	ev     flate.BlockEvent
-	endBit int64
-	bytes  int64
-}
-
-func (p *probeSink) BlockStart(ev flate.BlockEvent) error { p.ev = ev; return nil }
-func (p *probeSink) Literal(byte) error                   { p.bytes++; return nil }
-func (p *probeSink) Match(l, _ int) error                 { p.bytes += int64(l); return nil }
-func (p *probeSink) BlockEnd(nextBit int64) error         { p.endBit = nextBit; return nil }
 
 // shiftWindow fills dst with the 32 KiB window that follows producing
 // tail after window prev: the last WindowSize bytes of prev ++ tail.

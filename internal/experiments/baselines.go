@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/baseline"
 	"repro/internal/fastq"
 	"repro/internal/stats"
 	"repro/internal/tracked"
@@ -26,7 +27,7 @@ func RunBaselines(c Config, w io.Writer) error {
 		Reads: int(60000 * clampScale(c.Scale)),
 		Seed:  88 + c.Seed,
 	})
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		return err
 	}
@@ -84,13 +85,13 @@ func RunBaselines(c Config, w io.Writer) error {
 
 	// --- BGZF.
 	t0 = time.Now()
-	bz, err := pugz.CompressBGZF(data, 6)
+	bz, err := baseline.CompressBGZF(data, 6)
 	if err != nil {
 		return err
 	}
 	prepBz := time.Since(t0)
 	t0 = time.Now()
-	if _, err := pugz.BGZFReadAt(bz, buf, target); err != nil {
+	if _, err := baseline.BGZFReadAt(bz, buf, target); err != nil {
 		return err
 	}
 	accessBz := time.Since(t0)
@@ -111,7 +112,7 @@ func RunBaselines(c Config, w io.Writer) error {
 	// Table I: random access (and hence guessing) is practical at low
 	// compression levels.
 	for _, level := range []int{1, 6} {
-		lgz, err := pugz.Compress(data, level)
+		lgz, err := baseline.Compress(data, level)
 		if err != nil {
 			return err
 		}
@@ -134,7 +135,7 @@ func RunBaselines(c Config, w io.Writer) error {
 			return fmt.Errorf("baselines: random-access block not on lattice")
 		}
 		truth := data[outStart:]
-		g := pugz.GuessUndetermined(full.Text, 99)
+		g := baseline.GuessUndetermined(full.Text, 99)
 		undetTotal, right, wrong := 0, 0, 0
 		for i := range full.Text {
 			if full.Text[i] != tracked.UndeterminedByte {

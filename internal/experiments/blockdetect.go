@@ -5,12 +5,11 @@ import (
 	"io"
 	"time"
 
+	"repro/baseline"
 	"repro/internal/blockfind"
 	"repro/internal/fastq"
 	"repro/internal/gzipx"
 	"repro/internal/stats"
-
-	pugz "repro"
 )
 
 // RunBlockDetect measures Section VI-A: the latency of locating the
@@ -26,7 +25,7 @@ func RunBlockDetect(c Config, w io.Writer) error {
 		Seed:  77 + c.Seed,
 	})
 	for _, level := range []int{1, 6, 9} {
-		gz, err := pugz.Compress(data, level)
+		gz, err := baseline.Compress(data, level)
 		if err != nil {
 			return err
 		}

@@ -3,9 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
+	pugz "repro"
+	"repro/baseline"
 	"repro/internal/deflate"
 	"repro/internal/dna"
+	"repro/internal/fastq"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -165,6 +169,28 @@ func TestTable1CorpusClasses(t *testing.T) {
 	}
 	if levels[1] != 2 || levels[6] != 3 || levels[9] != 2 {
 		t.Fatalf("level mix: %v", levels)
+	}
+}
+
+// TestCostModel checks Table II's cost model on a Sequential run: work
+// and makespan are positive, the makespan without sync is no longer
+// than with it, and neither exceeds the summed work.
+func TestCostModel(t *testing.T) {
+	gz, err := baseline.Compress(fastq.Generate(fastq.GenOptions{Reads: 6000, Seed: 9}), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := pugz.Decompress(gz, pugz.Options{Threads: 4, MinChunk: 8 << 10, Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := time.Duration(workSeconds(st) * float64(time.Second))
+	withSync, noSync := simulatedMakespan(st, true), simulatedMakespan(st, false)
+	if work <= 0 || noSync <= 0 {
+		t.Fatalf("work %v, makespan without sync %v: want both positive", work, noSync)
+	}
+	if noSync > withSync || withSync > work+st.Pass2SeqWall+time.Microsecond { // slack for the float round trip
+		t.Fatalf("makespan %v (no sync %v) out of order against work %v + resolve %v", withSync, noSync, work, st.Pass2SeqWall)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/baseline"
 	"repro/internal/fastq"
 
 	pugz "repro"
@@ -21,7 +22,7 @@ func RunFig1(c Config, w io.Writer) error {
 		Reads: int(20000 * clampScale(c.Scale)),
 		Seed:  55 + c.Seed,
 	})
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/baseline"
 	"repro/internal/fastq"
 	"repro/internal/gzipx"
 	"repro/internal/stats"
@@ -44,7 +45,7 @@ func buildTable1Corpus(c Config) ([]table1File, error) {
 	for i, s := range specs {
 		reads := int(float64(s.reads) * clampScale(c.Scale))
 		data := fastq.Generate(fastq.GenOptions{Reads: reads, Seed: s.seed + c.Seed})
-		gz, err := pugz.Compress(data, s.level)
+		gz, err := baseline.Compress(data, s.level)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +124,7 @@ func RunTable1(c Config, w io.Writer) error {
 				// random access would actually get.
 				row.NoResolved++
 				total, clean := 0, 0
-				for _, s := range res.Sequences {
+				for _, s := range res.Records {
 					total++
 					if s.Unambiguous() {
 						clean++

@@ -203,6 +203,12 @@ func (d *Decoder) SetTrackStart(on bool) {
 	d.total = 0
 }
 
+// SetProduced sets the count of bytes produced since the stream start
+// that SetTrackStart checks back-references against. A failed decode
+// has already counted the bytes it got through, so a caller retrying a
+// block restores the count the block began at.
+func (d *Decoder) SetProduced(n int64) { d.total = n }
+
 // DecodeBlocks decodes blocks until the final block completes (final
 // is true), the visitor requests Stop (final is false, err nil), or an
 // error occurs.

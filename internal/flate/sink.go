@@ -286,8 +286,9 @@ func decodeWhole(data []byte, startBit int64, sink *ByteSink) (int64, error) {
 	return r.BitPos(), nil
 }
 
-// CountingSink discards output but tallies tokens; used by validation
-// probes and statistics collection.
+// CountingSink discards output but tallies tokens and records the last
+// block boundary: the one visitor for decodes that only count (block
+// sync probes, block scans, statistics collection).
 type CountingSink struct {
 	Literals int64
 	Matches  int64
@@ -297,10 +298,14 @@ type CountingSink struct {
 	MatchLenSum  int64
 	MatchDistSum int64
 	BlocksSeen   int
+	// Event is the last block's start event and EndBit the bit offset
+	// just past its end-of-block symbol (0 until a block ends).
+	Event  BlockEvent
+	EndBit int64
 }
 
-func (c *CountingSink) BlockStart(BlockEvent) error { c.BlocksSeen++; return nil }
-func (c *CountingSink) Literal(byte) error          { c.Literals++; c.Bytes++; return nil }
+func (c *CountingSink) BlockStart(ev BlockEvent) error { c.BlocksSeen++; c.Event = ev; return nil }
+func (c *CountingSink) Literal(byte) error             { c.Literals++; c.Bytes++; return nil }
 func (c *CountingSink) Match(length, dist int) error {
 	c.Matches++
 	c.Bytes += int64(length)
@@ -308,7 +313,7 @@ func (c *CountingSink) Match(length, dist int) error {
 	c.MatchDistSum += int64(dist)
 	return nil
 }
-func (c *CountingSink) BlockEnd(int64) error { return nil }
+func (c *CountingSink) BlockEnd(nextBit int64) error { c.EndBit = nextBit; return nil }
 
 // AvgMatchLen returns l_a, the mean match length (0 when no matches).
 func (c *CountingSink) AvgMatchLen() float64 {

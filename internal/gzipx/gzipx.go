@@ -1,19 +1,17 @@
-// Package gzipx implements the gzip container format (RFC 1952) around
-// internal/deflate: member headers with optional fields, CRC-32 + ISIZE
-// trailers, and the XFL-based compression-level classification that
-// the UNIX file command (and Section VII-A of the paper) uses to
-// partition datasets into lowest / normal / highest compression levels.
-// Decoding members is the root package's one member loop.
+// Package gzipx parses the gzip container format (RFC 1952): member
+// headers with optional fields, CRC-32 + ISIZE trailers, and the
+// XFL-based compression-level classification that the UNIX file
+// command (and Section VII-A of the paper) uses to partition datasets
+// into lowest / normal / highest compression levels. Decoding members
+// is the root package's one member loop; writing them is package
+// baseline's.
 package gzipx
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 
-	"repro/internal/deflate"
 	"repro/internal/flate"
 )
 
@@ -97,64 +95,11 @@ func ClassifyXFL(xfl byte) CompressionClass {
 	}
 }
 
-// xflForLevel mirrors gzip: XFL=2 at maximum compression, XFL=4 at
-// fastest, 0 otherwise.
-func xflForLevel(level int) byte {
-	switch {
-	case level >= 9:
-		return 2
-	case level == 1:
-		return 4
-	default:
-		return 0
-	}
-}
-
 // ParseHeader parses a member header at the start of data. It is
 // ReadHeader over the slice: both paths share one parser so the
 // streaming and whole-file layers can never diverge.
 func ParseHeader(data []byte) (Member, error) {
 	return ReadHeader(bytes.NewReader(data))
-}
-
-// Options controls member creation.
-type Options struct {
-	Level int    // 0..9; 0 = stored
-	Name  string // optional FNAME
-}
-
-// Compress produces a complete single-member gzip file from data.
-func Compress(data []byte, level int) ([]byte, error) {
-	return CompressOpts(data, Options{Level: level})
-}
-
-// CompressOpts produces a complete single-member gzip file.
-func CompressOpts(data []byte, o Options) ([]byte, error) {
-	if o.Level < 0 || o.Level > 9 {
-		return nil, fmt.Errorf("gzipx: level %d out of range [0,9]", o.Level)
-	}
-	payload, err := deflate.Compress(data, o.Level)
-	if err != nil {
-		return nil, err
-	}
-	flg := byte(0)
-	if o.Name != "" {
-		flg |= flgFNAME
-	}
-	out := make([]byte, 0, len(payload)+32+len(o.Name))
-	out = append(out, id1, id2, cmDeflate, flg,
-		0, 0, 0, 0, // MTIME: zero for determinism
-		xflForLevel(o.Level), 255 /* OS unknown */)
-	if o.Name != "" {
-		out = append(out, o.Name...)
-		out = append(out, 0)
-	}
-	out = append(out, payload...)
-	var tr [8]byte
-	binary.LittleEndian.PutUint32(tr[0:4], crc32.ChecksumIEEE(data))
-	binary.LittleEndian.PutUint32(tr[4:8], uint32(len(data)))
-	out = append(out, tr[:]...)
-	return out, nil
 }
 
 // maxHintRatio caps SizeHint at this multiple of the compressed bytes,

@@ -5,6 +5,8 @@ import (
 	stdgzip "compress/gzip"
 	"errors"
 	"testing"
+
+	"repro/baseline"
 )
 
 // buildHeader assembles a raw gzip header with the given flag fields.
@@ -95,7 +97,7 @@ func TestParseStdlibHeaders(t *testing.T) {
 }
 
 func TestPayloadBounds(t *testing.T) {
-	gz, err := CompressOpts([]byte("data data data data"), Options{Level: 6, Name: "x"})
+	gz, err := baseline.CompressNamed([]byte("data data data data"), 6, "x")
 	if err != nil {
 		t.Fatal(err)
 	}

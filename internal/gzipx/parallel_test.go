@@ -1,17 +1,23 @@
 package gzipx
 
+// The gzip writers live in package baseline (the decompressor does not
+// link them); these tests check what they write as gzip members: read
+// back by the standard library, at every thread count.
+
 import (
 	"bytes"
 	stdgzip "compress/gzip"
 	"io"
 	"testing"
+
+	"repro/baseline"
 )
 
 func TestCompressParallelRoundTrip(t *testing.T) {
 	data := textCorpus(900_000, 21)
 	for _, level := range []int{0, 1, 6, 9} {
 		for _, threads := range []int{1, 3, 8} {
-			gz, err := CompressParallel(data, ParallelOptions{Level: level, Threads: threads, ChunkSize: 64 << 10})
+			gz, err := baseline.CompressParallel(data, level, threads)
 			if err != nil {
 				t.Fatalf("level %d threads %d: %v", level, threads, err)
 			}
@@ -24,13 +30,13 @@ func TestCompressParallelRoundTrip(t *testing.T) {
 
 func TestCompressParallelDeterministicAcrossThreads(t *testing.T) {
 	// Chunks are independent, so the byte output must not depend on
-	// the number of worker goroutines.
-	data := dnaCorpus(500_000, 22)
-	a, err := CompressParallel(data, ParallelOptions{Level: 6, Threads: 1, ChunkSize: 64 << 10})
+	// the number of worker goroutines (five 256 KiB chunks here).
+	data := dnaCorpus(1_100_000, 22)
+	a, err := baseline.CompressParallel(data, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompressParallel(data, ParallelOptions{Level: 6, Threads: 7, ChunkSize: 64 << 10})
+	b, err := baseline.CompressParallel(data, 6, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +47,7 @@ func TestCompressParallelDeterministicAcrossThreads(t *testing.T) {
 
 func TestCompressParallelStdlibReads(t *testing.T) {
 	data := textCorpus(400_000, 23)
-	gz, err := CompressParallel(data, ParallelOptions{Level: 6, Threads: 4})
+	gz, err := baseline.CompressParallel(data, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +70,7 @@ func TestCompressParallelStdlibReads(t *testing.T) {
 func TestCompressParallelEmptyAndTiny(t *testing.T) {
 	for _, n := range []int{0, 1, 100} {
 		data := textCorpus(n, int64(24+n))
-		gz, err := CompressParallel(data, ParallelOptions{Level: 6, Threads: 4})
+		gz, err := baseline.CompressParallel(data, 6, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +84,11 @@ func TestCompressParallelRatioTradeoff(t *testing.T) {
 	// Window resets at chunk boundaries cost some ratio vs the
 	// sequential compressor — but not much at 256 KiB chunks.
 	data := textCorpus(2_000_000, 25)
-	seq, err := Compress(data, 6)
+	seq, err := baseline.Compress(data, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompressParallel(data, ParallelOptions{Level: 6, Threads: 4})
+	par, err := baseline.CompressParallel(data, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestCompressParallelRatioTradeoff(t *testing.T) {
 }
 
 func TestCompressParallelBadLevel(t *testing.T) {
-	if _, err := CompressParallel([]byte("x"), ParallelOptions{Level: 11}); err == nil {
+	if _, err := baseline.CompressParallel([]byte("x"), 11, 1); err == nil {
 		t.Fatal("bad level accepted")
 	}
 }

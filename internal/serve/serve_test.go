@@ -15,6 +15,7 @@ import (
 	"time"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
@@ -29,7 +30,7 @@ type fixture struct {
 
 func mustCompress(t testing.TB, data []byte, level int) []byte {
 	t.Helper()
-	gz, err := pugz.Compress(data, level)
+	gz, err := baseline.Compress(data, level)
 	if err != nil {
 		t.Fatal(err)
 	}

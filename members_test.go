@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/baseline"
 	"repro/internal/bitio"
 	"repro/internal/gzipx"
 )
@@ -18,7 +19,7 @@ import (
 // TestGunzipSequentialCorruptTrailer: a flipped CRC-32 byte and a
 // flipped ISIZE byte each fail with ErrChecksum, naming the field.
 func TestGunzipSequentialCorruptTrailer(t *testing.T) {
-	gz, err := Compress([]byte("some content to compress some content"), 6)
+	gz, err := baseline.Compress([]byte("some content to compress some content"), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestGunzipSequentialCorruptTrailer(t *testing.T) {
 // TestGunzipSequentialTruncatedTrailer: a trailer cut short is a
 // truncated member, not a clean end.
 func TestGunzipSequentialTruncatedTrailer(t *testing.T) {
-	gz, err := Compress([]byte("some content to compress"), 6)
+	gz, err := baseline.Compress([]byte("some content to compress"), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

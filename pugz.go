@@ -39,9 +39,9 @@
 // an undetermined context and extracts DNA sequences from the
 // partially resolved text (Sections IV and VI-B, the fqgz prototype).
 //
-// A Compress helper (gzip-compatible output with zlib level semantics,
-// levels 0-9) is included so corpora for the paper's experiments can
-// be generated without cgo or external binaries.
+// The package is the decompressor only. The compressor used to build
+// the experiments' corpora, the BGZF baseline and the guesser of
+// undetermined characters live in package repro/baseline.
 package pugz
 
 import (
@@ -68,8 +68,8 @@ type Options struct {
 	// Sequential runs each chunk's sync and pass 1 to completion, one
 	// at a time, instead of concurrently (output identical). Use it for
 	// measurement on hosts with fewer cores than chunks: per-chunk Stats
-	// then reflect isolated cost, making SimulatedMakespan meaningful
-	// (cmd/experiments -run fig5 does).
+	// then reflect isolated cost, so a makespan modelled from them means
+	// something (cmd/experiments -run fig5 does).
 	Sequential bool
 }
 
@@ -95,32 +95,6 @@ type Stats struct {
 	TotalWall    time.Duration
 	// Members is the number of gzip members processed.
 	Members int
-}
-
-// WorkSeconds returns the aggregate CPU work across all chunks.
-func (s *Stats) WorkSeconds() float64 {
-	var d time.Duration
-	for _, c := range s.Chunks {
-		d += c.Find + c.Pass1 + c.Pass2
-	}
-	return d.Seconds()
-}
-
-// SimulatedMakespan estimates the wall time on a machine with one free
-// core per chunk: max(find+pass1) + sequential resolve + max(pass2).
-// cmd/experiments -run fig5 uses it to reproduce the Figure 5 scaling
-// shape on hosts with few physical cores.
-func (s *Stats) SimulatedMakespan() time.Duration {
-	var maxP1, maxP2 time.Duration
-	for _, c := range s.Chunks {
-		if p := c.Find + c.Pass1; p > maxP1 {
-			maxP1 = p
-		}
-		if c.Pass2 > maxP2 {
-			maxP2 = c.Pass2
-		}
-	}
-	return maxP1 + s.Pass2SeqWall + maxP2
 }
 
 func (s *Stats) addMember(m *core.Metrics) {
@@ -168,46 +142,6 @@ func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
 		out = nil
 	}
 	return out, stats, nil
-}
-
-// DecompressDeflate runs the parallel engine directly on a raw DEFLATE
-// stream (no gzip framing).
-func DecompressDeflate(payload []byte, o Options) ([]byte, *Stats, error) {
-	dec, m, err := core.DecompressPayload(payload, core.Options{
-		Threads:    o.Threads,
-		MinChunk:   o.MinChunk,
-		Sequential: o.Sequential,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := &Stats{}
-	stats.addMember(m)
-	return dec, stats, nil
-}
-
-// Compress produces a gzip file from data at the given level (0-9)
-// with gzip/zlib level semantics: greedy parsing below level 4, lazy
-// (non-greedy) parsing from level 4 up. The XFL header byte is set the
-// way gzip sets it, so compression-level classification behaves like
-// the UNIX file command.
-func Compress(data []byte, level int) ([]byte, error) {
-	return gzipx.Compress(data, level)
-}
-
-// CompressNamed is Compress with an embedded FNAME header field.
-func CompressNamed(data []byte, level int, name string) ([]byte, error) {
-	return gzipx.CompressOpts(data, gzipx.Options{Level: level, Name: name})
-}
-
-// CompressParallel compresses data with pigz-style chunked
-// parallelism (the easy direction the paper's introduction contrasts
-// with decompression): independent chunks joined by empty stored sync
-// blocks into one ordinary gzip member. Output bytes are independent
-// of the thread count; the ratio cost of the per-chunk window reset
-// is a few percent at the default 256 KiB chunks.
-func CompressParallel(data []byte, level, threads int) ([]byte, error) {
-	return gzipx.CompressParallel(data, gzipx.ParallelOptions{Level: level, Threads: threads})
 }
 
 // GunzipSequential is the exact single-threaded baseline (the "gunzip

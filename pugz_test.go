@@ -2,14 +2,21 @@ package pugz
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
+
+	"repro/baseline"
+	"repro/internal/bitio"
+	"repro/internal/flate"
 )
 
 func TestDecompressRoundTrip(t *testing.T) {
 	data := genFastq(6000, 1)
 	for _, level := range []int{1, 6, 9} {
-		gz, err := Compress(data, level)
+		gz, err := baseline.Compress(data, level)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,8 +41,8 @@ func TestDecompressRoundTrip(t *testing.T) {
 
 func TestDecompressMultiMember(t *testing.T) {
 	a, b := genFastq(2000, 2), genFastq(2000, 3)
-	ga, _ := Compress(a, 6)
-	gb, _ := Compress(b, 1)
+	ga, _ := baseline.Compress(a, 6)
+	gb, _ := baseline.Compress(b, 1)
 	gz := append(append([]byte{}, ga...), gb...)
 	out, st, err := Decompress(gz, Options{Threads: 4, MinChunk: 8 << 10, VerifyChecksums: true})
 	if err != nil {
@@ -52,7 +59,7 @@ func TestDecompressMultiMember(t *testing.T) {
 
 func TestCorruptChecksumDetected(t *testing.T) {
 	data := genFastq(2000, 4)
-	gz, _ := Compress(data, 6)
+	gz, _ := baseline.Compress(data, 6)
 	// Flip a bit in the stored CRC (last 8 bytes are CRC+ISIZE).
 	gz[len(gz)-6] ^= 0xff
 	if _, _, err := Decompress(gz, Options{Threads: 2, VerifyChecksums: true}); err == nil {
@@ -69,29 +76,82 @@ func TestCorruptChecksumDetected(t *testing.T) {
 }
 
 func TestScanBlocks(t *testing.T) {
-	data := genFastq(6000, 5)
-	gz, _ := Compress(data, 6)
-	blocks, err := ScanBlocks(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) < 2 {
-		t.Fatalf("want multiple blocks, got %d", len(blocks))
-	}
-	if !blocks[len(blocks)-1].Final {
-		t.Fatal("last block must be final")
-	}
-	for i := 1; i < len(blocks); i++ {
-		if blocks[i].StartBit != blocks[i-1].EndBit {
-			t.Fatalf("block %d: gap %d -> %d", i, blocks[i-1].EndBit, blocks[i].StartBit)
+	fastqData := genFastq(6000, 5)
+	fastqGz, _ := baseline.Compress(fastqData, 6)
+	for _, c := range []struct {
+		name    string
+		gz      []byte
+		outSize int   // decompressed bytes the blocks must cover
+		err     error // non-nil: the scan must fail with it
+	}{
+		{"fastq level 6", fastqGz, len(fastqData), nil},
+		// A stored block of 3 bytes then a match at distance 3: it
+		// reaches exactly the first byte, across the block boundary.
+		{"match to the first byte", twoBlockMember("abc", 3), 6, nil},
+		// The same match after 2 bytes reaches before the stream start.
+		{"match before the start", twoBlockMember("ab", 3), 0, flate.ErrDistanceTooFar},
+	} {
+		blocks, err := ScanBlocks(c.gz)
+		if c.err != nil {
+			if !errors.Is(err, c.err) {
+				t.Fatalf("%s: err = %v, want %v", c.name, err, c.err)
+			}
+			continue
 		}
-		if blocks[i].OutStart != blocks[i-1].OutEnd {
-			t.Fatalf("block %d: output gap", i)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(blocks) < 2 {
+			t.Fatalf("%s: want multiple blocks, got %d", c.name, len(blocks))
+		}
+		if !blocks[len(blocks)-1].Final {
+			t.Fatalf("%s: last block must be final", c.name)
+		}
+		for i := 1; i < len(blocks); i++ {
+			if blocks[i].StartBit != blocks[i-1].EndBit {
+				t.Fatalf("%s block %d: gap %d -> %d", c.name, i, blocks[i-1].EndBit, blocks[i].StartBit)
+			}
+			if blocks[i].OutStart != blocks[i-1].OutEnd {
+				t.Fatalf("%s block %d: output gap", c.name, i)
+			}
+		}
+		if blocks[len(blocks)-1].OutEnd != int64(c.outSize) {
+			t.Fatalf("%s: blocks cover %d output bytes, want %d", c.name, blocks[len(blocks)-1].OutEnd, c.outSize)
 		}
 	}
-	if blocks[len(blocks)-1].OutEnd != int64(len(data)) {
-		t.Fatal("blocks do not cover the output")
+}
+
+// twoBlockMember is a one-member gzip file whose DEFLATE stream is a
+// stored block holding lit, then a final fixed-Huffman block holding
+// one match of length 3 at distance dist (1-4). Its trailer is that of
+// the output the match yields when it stays within the stream.
+func twoBlockMember(lit string, dist int) []byte {
+	rev := func(v uint32, n uint) uint32 { // Huffman codes go MSB first
+		var r uint32
+		for i := uint(0); i < n; i++ {
+			r = r<<1 | (v>>i)&1
+		}
+		return r
 	}
+	w := bitio.NewWriter(64)
+	w.WriteBits(0, 3) // not final, stored
+	w.AlignByte()
+	w.WriteBits(uint32(len(lit)), 16)
+	w.WriteBits(^uint32(len(lit))&0xffff, 16)
+	if err := w.WriteBytes([]byte(lit)); err != nil {
+		panic(err)
+	}
+	w.WriteBits(1|1<<1, 3)                 // final, fixed Huffman
+	w.WriteBits(rev(1, 7), 7)              // length symbol 257: length 3
+	w.WriteBits(rev(uint32(dist-1), 5), 5) // distance symbol dist-1
+	w.WriteBits(0, 7)                      // end of block
+	out := []byte(lit)
+	for i := 0; i < 3 && dist <= len(out); i++ {
+		out = append(out, out[len(out)-dist])
+	}
+	gz := append([]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255}, w.Bytes()...)
+	gz = binary.LittleEndian.AppendUint32(gz, crc32.ChecksumIEEE(out))
+	return binary.LittleEndian.AppendUint32(gz, uint32(len(out)))
 }
 
 func TestFindBlockAgainstScan(t *testing.T) {
@@ -188,7 +248,7 @@ func TestRandomAccessTextIsPlausible(t *testing.T) {
 func TestClassify(t *testing.T) {
 	data := genFastq(500, 9)
 	for level, want := range map[int]CompressionClass{1: ClassLowest, 6: ClassNormal, 9: ClassHighest} {
-		gz, _ := Compress(data, level)
+		gz, _ := baseline.Compress(data, level)
 		got, err := Classify(gz)
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +266,7 @@ func TestClassify(t *testing.T) {
 // "special case" the paper's prototype left unimplemented).
 func TestFullCircleParallel(t *testing.T) {
 	data := genFastq(20000, 77)
-	gz, err := CompressParallel(data, 6, 4)
+	gz, err := baseline.CompressParallel(data, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +291,7 @@ func TestFullCircleParallel(t *testing.T) {
 }
 
 func TestCompressNamed(t *testing.T) {
-	gz, err := CompressNamed([]byte(strings.Repeat("read data ", 300)), 6, "sample.fastq")
+	gz, err := baseline.CompressNamed([]byte(strings.Repeat("read data ", 300)), 6, "sample.fastq")
 	if err != nil {
 		t.Fatal(err)
 	}

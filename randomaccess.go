@@ -61,15 +61,9 @@ type RandomAccessOptions struct {
 	// (0 = decode to the end of the member).
 	MaxOutput int64
 	// Framer selects the record framing applied to the partially
-	// resolved text. nil selects FASTQFraming{MinLen: MinSeqLen} — the
-	// original DNA pipeline.
+	// resolved text. nil selects FASTQFraming{} — the original DNA
+	// pipeline, with sequences of at least DefaultMinSeqLen bases.
 	Framer Framer
-	// MinSeqLen is the minimum extracted-sequence length used by the
-	// default FASTQ framing (0 selects DefaultMinSeqLen).
-	//
-	// Deprecated: set Framer to FASTQFraming{MinLen: n} instead. The
-	// field is consulted only when Framer is nil.
-	MinSeqLen int
 	// ResolvedThreshold is the number of trustworthy records a block
 	// needs to count as record-resolved (0 selects
 	// DefaultResolvedThreshold).
@@ -94,23 +88,6 @@ type Record struct {
 // Unambiguous reports whether the record is fully determined.
 func (r Record) Unambiguous() bool { return r.Undetermined == 0 }
 
-// Sequence is one DNA-like segment extracted from random-access
-// output.
-//
-// Deprecated: Sequence survives for the FASTQ-specific surface;
-// framer-neutral callers read RandomAccessResult.Records.
-type Sequence struct {
-	// Offset is the byte position within SuffixText where the
-	// sequence begins.
-	Offset int
-	Seq    []byte
-	// Undetermined counts '?' characters within Seq.
-	Undetermined int
-}
-
-// Unambiguous reports whether the sequence is fully determined.
-func (s Sequence) Unambiguous() bool { return s.Undetermined == 0 }
-
 // RandomAccessResult is the outcome of decompressing from an arbitrary
 // location with an undetermined context.
 type RandomAccessResult struct {
@@ -124,14 +101,8 @@ type RandomAccessResult struct {
 	// Blocks are the decoded block boundaries (offsets into Text).
 	Blocks []Block
 	// Records holds every record the framing recovered from Text, in
-	// order.
+	// order (under the default FASTQ framing, the DNA-like segments).
 	Records []Record
-	// Sequences holds every extracted DNA-like segment, in order. It
-	// is populated only under the FASTQ framing (the default), where
-	// it mirrors Records.
-	//
-	// Deprecated: read Records.
-	Sequences []Sequence
 	// FirstResolvedBlock is the index into Blocks of the first
 	// record-resolved block, or -1 if none was found. DelayBytes is
 	// the number of decompressed bytes before it ("delay to
@@ -184,7 +155,7 @@ func (o RandomAccessOptions) framer() Framer {
 	if o.Framer != nil {
 		return o.Framer
 	}
-	return FASTQFraming{MinLen: o.MinSeqLen}
+	return FASTQFraming{}
 }
 
 // RandomAccessAt is RandomAccess over the File's byte source: the
@@ -274,17 +245,6 @@ func (f *File) RandomAccessAt(fromByte int64, o RandomAccessOptions) (*RandomAcc
 			Undetermined: rec.Holes,
 		})
 	}
-	if _, isFASTQ := fr.(FASTQFraming); isFASTQ {
-		out.Sequences = make([]Sequence, 0, len(out.Records))
-		for _, rec := range out.Records {
-			out.Sequences = append(out.Sequences, Sequence{
-				Offset:       int(rec.Offset),
-				Seq:          rec.Data,
-				Undetermined: rec.Undetermined,
-			})
-		}
-	}
-
 	for i, b := range out.Blocks {
 		end := b.OutEnd
 		if end > int64(len(out.Text)) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/baseline"
 	"repro/internal/fastq"
 )
 
@@ -88,7 +89,7 @@ func TestStreamingReaderSmallReads(t *testing.T) {
 
 func TestStreamingReaderEarlyClose(t *testing.T) {
 	data := genFastq(30000, 35)
-	gz, _ := Compress(data, 6)
+	gz, _ := baseline.Compress(data, 6)
 	r, err := NewReaderBytes(gz, StreamOptions{Threads: 4, BatchCompressedBytes: 64 << 10, MinChunk: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +178,7 @@ func TestStreamingReaderReadAfterClose(t *testing.T) {
 
 func TestStreamingReaderChecksumFailure(t *testing.T) {
 	data := genFastq(6000, 36)
-	gz, _ := Compress(data, 6)
+	gz, _ := baseline.Compress(data, 6)
 	gz[len(gz)-6] ^= 0xff // corrupt stored CRC
 	r, err := NewReaderBytes(gz, StreamOptions{Threads: 2, VerifyChecksums: true, BatchCompressedBytes: 64 << 10, MinChunk: 8 << 10})
 	if err != nil {
@@ -199,7 +200,7 @@ func TestStreamingReaderBadHeader(t *testing.T) {
 func TestStreamingReaderTinyBatches(t *testing.T) {
 	// Batch size below the floor still works (clamped to 64 KiB).
 	data := fastq.Generate(fastq.GenOptions{Reads: 3000, Seed: 37})
-	gz, _ := Compress(data, 6)
+	gz, _ := baseline.Compress(data, 6)
 	r, err := NewReaderBytes(gz, StreamOptions{Threads: 2, BatchCompressedBytes: 1, MinChunk: 4 << 10})
 	if err != nil {
 		t.Fatal(err)

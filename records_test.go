@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	pugz "repro"
+	"repro/baseline"
 	"repro/internal/blockfind"
 	"repro/internal/fastq"
 	"repro/internal/framing"
@@ -47,7 +48,7 @@ func multiMemberGz(t testing.TB, data []byte, levels []int) ([]byte, int) {
 		if hi > len(data) {
 			hi = len(data)
 		}
-		m, err := pugz.Compress(data[lo:hi], l)
+		m, err := baseline.Compress(data[lo:hi], l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +245,7 @@ func TestRecordScanSyncMidStream(t *testing.T) {
 
 func TestRecordScanBounded(t *testing.T) {
 	data := framing.GenLog(800, 41)
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestRecordScanFASTQMatchesFraming(t *testing.T) {
 	// The scanner under the default FASTQ framing must agree with
 	// framing the exact plaintext directly.
 	data := fastq.Generate(fastq.GenOptions{Reads: 3000, Seed: 51})
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +300,11 @@ func TestRecordScanFASTQMatchesFraming(t *testing.T) {
 	}
 }
 
-func TestSequencesMirrorRecordsUnderFASTQ(t *testing.T) {
-	// Back-compat: under the default framer the deprecated Sequences
-	// view must mirror Records exactly.
+func TestRandomAccessDefaultFramingIsFASTQ(t *testing.T) {
+	// A nil Framer is the FASTQ framing at DefaultMinSeqLen (what fqgz
+	// passes explicitly): the same records, offsets and holes.
 	data := fastq.Generate(fastq.GenOptions{Reads: 4000, Seed: 61})
-	gz, err := pugz.Compress(data, 1)
+	gz, err := baseline.Compress(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,28 +312,26 @@ func TestSequencesMirrorRecordsUnderFASTQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sequences) != len(res.Records) || len(res.Records) == 0 {
-		t.Fatalf("%d sequences vs %d records", len(res.Sequences), len(res.Records))
-	}
-	for i, s := range res.Sequences {
-		r := res.Records[i]
-		if int64(s.Offset) != r.Offset || s.Undetermined != r.Undetermined || !bytes.Equal(s.Seq, r.Data) {
-			t.Fatalf("sequence %d diverges from record view", i)
-		}
-	}
-	// A non-FASTQ framer must not populate the deprecated view.
-	res2, err := pugz.RandomAccess(gz, int64(len(gz))/3, pugz.RandomAccessOptions{Framer: pugz.NewlineFraming{}})
+	explicit, err := pugz.RandomAccess(gz, int64(len(gz))/3, pugz.RandomAccessOptions{
+		Framer: pugz.FASTQFraming{MinLen: pugz.DefaultMinSeqLen},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Sequences != nil {
-		t.Fatal("newline framing populated Sequences")
+	if len(res.Records) != len(explicit.Records) || len(res.Records) == 0 {
+		t.Fatalf("%d default records vs %d explicit", len(res.Records), len(explicit.Records))
+	}
+	for i, r := range res.Records {
+		e := explicit.Records[i]
+		if r.Offset != e.Offset || r.Undetermined != e.Undetermined || !bytes.Equal(r.Data, e.Data) {
+			t.Fatalf("record %d differs between the default and explicit FASTQ framing", i)
+		}
 	}
 }
 
 func TestAttachIndex(t *testing.T) {
 	data := framing.GenJSONL(2000, 71)
-	gz, err := pugz.Compress(data, 6)
+	gz, err := baseline.Compress(data, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

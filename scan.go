@@ -53,16 +53,21 @@ func (f *File) ScanBlocks() ([]Block, error) {
 	var blocks []Block
 	var outPos int64
 	bit := int64(0) // payload-relative decode position
+	// One decoder walks every block from the stream start, so it
+	// rejects a back-reference before the first output byte: the scan
+	// is as strict as a real decode.
+	dec := flate.GetDecoder(flate.Options{})
+	defer flate.PutDecoder(dec)
+	dec.SetTrackStart(true)
 	for {
 		relBit := bit - (w.base-f.hdrLen)*8
-		sink := &scanSink{outBase: outPos}
 		r, err := bitio.NewReaderAt(w.data, relBit)
 		if err != nil {
 			return nil, err
 		}
-		dec := flate.GetDecoder(flate.Options{})
-		final, err := dec.DecodeBlock(r, sink)
-		flate.PutDecoder(dec)
+		var sink flate.CountingSink
+		dec.SetProduced(outPos) // a retried block counts from its start again
+		final, err := dec.DecodeBlock(r, &sink)
 		if err != nil {
 			// A failed decode on a partial window is retried with more
 			// data resident; at EOF the failure is real.
@@ -73,16 +78,16 @@ func (f *File) ScanBlocks() ([]Block, error) {
 			}
 			return nil, fmt.Errorf("pugz: scan at payload bit %d: %w", bit, err)
 		}
-		endBit := (w.base-f.hdrLen)*8 + sink.endBit
+		endBit := (w.base-f.hdrLen)*8 + sink.EndBit
 		blocks = append(blocks, Block{
 			StartBit: bit,
 			EndBit:   endBit,
-			Type:     sink.ev.Type.String(),
-			Final:    sink.ev.Final,
+			Type:     sink.Event.Type.String(),
+			Final:    sink.Event.Final,
 			OutStart: outPos,
-			OutEnd:   outPos + sink.bytes,
+			OutEnd:   outPos + sink.Bytes,
 		})
-		outPos += sink.bytes
+		outPos += sink.Bytes
 		bit = endBit
 		if final {
 			return blocks, nil
@@ -92,28 +97,6 @@ func (f *File) ScanBlocks() ([]Block, error) {
 		w.discardTo(f.hdrLen + bit/8)
 	}
 }
-
-// scanSink records one block's boundary and output extent without
-// materialising bytes. Back-references are validated against the
-// absolute produced count, which is what keeps the scan as strict as a
-// real decode (a reference before the stream start is corrupt input).
-type scanSink struct {
-	outBase int64 // decompressed offset at block start
-	bytes   int64 // produced within this block
-	ev      flate.BlockEvent
-	endBit  int64
-}
-
-func (s *scanSink) BlockStart(ev flate.BlockEvent) error { s.ev = ev; return nil }
-func (s *scanSink) Literal(byte) error                   { s.bytes++; return nil }
-func (s *scanSink) Match(length, dist int) error {
-	if int64(dist) > s.outBase+s.bytes {
-		return flate.ErrDanglingRef
-	}
-	s.bytes += int64(length)
-	return nil
-}
-func (s *scanSink) BlockEnd(nextBit int64) error { s.endBit = nextBit; return nil }
 
 // FindBlock locates the first confirmed DEFLATE block start at or
 // after the given byte offset into the compressed file, by brute-force

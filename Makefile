@@ -96,6 +96,7 @@ fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz FuzzIndexBuildParity -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/gzindex -run '^$$' -fuzz FuzzIndexUnmarshal -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/flate -run '^$$' -fuzz FuzzFastScalarParity -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/blockfind -run '^$$' -fuzz FuzzSyncPrecheck -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Quick smoke: every benchmark runs once, no JSON capture. CI uses this
 # to catch bit-rotted benchmark code without paying for real timings.

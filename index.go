@@ -197,6 +197,7 @@ func buildIndexStream(src io.Reader, spacing int64, o StreamOptions) (*Index, *i
 		MaxWindowBytes:       o.MaxWindowBytes,
 	})
 	defer p.Close()
+	defer p.Window().Recycle()
 	m, err := gzipx.ReadHeader(p.Window())
 	if err != nil {
 		return nil, nil, err

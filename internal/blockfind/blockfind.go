@@ -6,21 +6,30 @@
 // to find one is to attempt decompression at every bit offset and rely
 // on stringent checks to fail fast on false candidates:
 //
+//   - a structural precheck first (precheck.go): the header under the
+//     rules below, a stored block's LEN/NLEN, a dynamic block's whole
+//     code-length description and tree completeness, and a fixed
+//     block's first symbols, read from the bits in place. It rejects
+//     only what the decode would reject, and almost every false
+//     candidate stops there;
 //   - BFINAL must be 0 (we never seek to the very last block),
 //   - BTYPE 3 is invalid,
-//   - a dynamic Huffman description must be self-consistent,
+//   - a dynamic Huffman description must be self-consistent and declare
+//     at most 286 literal/length and 30 distance codes,
 //   - decoded literals must be valid ASCII text bytes,
 //   - distance symbols 30/31 are invalid,
 //   - the decompressed block must be between 1 KiB and 4 MiB.
 //
-// A candidate that decodes one whole block is then confirmed by
-// decoding several more blocks; failure backtracks to the bit after
-// the candidate, exactly as the paper describes.
+// A candidate that passes the precheck is decoded as one whole block
+// under those rules, then confirmed by decoding several more blocks;
+// failure backtracks to the bit after the candidate, exactly as the
+// paper describes.
 package blockfind
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/bitio"
@@ -53,6 +62,12 @@ type Finder struct {
 	// ErrStopped: a scheduler that no longer needs the block start
 	// abandons the probe without waiting for it to finish.
 	Stop *atomic.Bool
+
+	// rules, fixedHead and the scratch below serve the precheck.
+	rules     rules
+	fixedHead *fixedHead
+	precode   [1 << 7]uint16
+	lens      [flate.MaxLitLenCodes + flate.MaxDistCodes]uint8
 }
 
 // ErrStopped is returned by a search whose Finder.Stop was set.
@@ -61,7 +76,7 @@ var ErrStopped = errors.New("blockfind: search stopped")
 // Stats counts scanner work.
 type Stats struct {
 	BitsTried    int64 // candidate bit offsets attempted
-	Rejects      int64 // candidates that failed to decode one block
+	Rejects      int64 // candidates the precheck or a one-block decode rejected
 	ConfirmFails int64 // candidate decoded but confirmation failed
 }
 
@@ -75,11 +90,14 @@ func NewWithOptions(opts flate.Options) *Finder {
 	opts.Validate = true
 	confirmOpts := opts
 	confirmOpts.AllowFinal = true
-	return &Finder{
+	f := &Finder{
 		candidate:     flate.NewDecoder(opts),
 		confirm:       flate.NewDecoder(confirmOpts),
 		Confirmations: DefaultConfirmations,
 	}
+	f.rules = newRules(opts)
+	f.fixedHead = fixedHeadFor(f.rules)
+	return f
 }
 
 // Next returns the bit offset of the first confirmed DEFLATE block
@@ -103,23 +121,34 @@ func (f *Finder) NextBefore(data []byte, fromBit, limitBit int64) (int64, error)
 		(len(data) > 0 && &f.reader.Data()[0] != &data[0]) {
 		f.reader = bitio.NewReader(data)
 	}
-	for bit := fromBit; bit < limitBit; bit++ {
+	// Positions go 64 at a time through the precheck; the survivors are
+	// decoded one block each, in order, then confirmed.
+	for lo := fromBit; lo < limitBit; lo += 64 {
 		if f.Stop != nil && f.Stop.Load() {
 			return 0, ErrStopped
 		}
-		f.Stats.BitsTried++
-		if err := f.reader.Reset(bit); err != nil {
-			return 0, err
+		n := int(min(limitBit-lo, 64))
+		decoded := int64(0) // candidates that decoded one block
+		for m := f.candidates(data, lo, n); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			bit := lo + int64(i)
+			if err := f.reader.Reset(bit); err != nil {
+				return 0, err
+			}
+			if _, err := f.candidate.DecodeBlock(f.reader, &f.sink); err != nil {
+				continue
+			}
+			decoded++
+			// Candidate decoded: confirm with several more blocks.
+			if f.confirmFrom(data) {
+				f.Stats.BitsTried += int64(i) + 1
+				f.Stats.Rejects += int64(i) + 1 - decoded
+				return bit, nil
+			}
+			f.Stats.ConfirmFails++
 		}
-		if _, err := f.candidate.DecodeBlock(f.reader, &f.sink); err != nil {
-			f.Stats.Rejects++
-			continue
-		}
-		// Candidate decoded: confirm with several more blocks.
-		if f.confirmFrom(data) {
-			return bit, nil
-		}
-		f.Stats.ConfirmFails++
+		f.Stats.BitsTried += int64(n)
+		f.Stats.Rejects += int64(n) - decoded
 	}
 	return 0, ErrNotFound
 }

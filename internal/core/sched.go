@@ -24,6 +24,15 @@ import (
 // predecessor, chains the context windows (pass 2a), translates or
 // measures the chunk (pass 2b) and hands it on. So chunk k+1's sync
 // and pass 1 overlap chunk k's resolve, translation and consumption.
+//
+// Who translates: after each chunk the resolver of a streaming run
+// that is past its skip target (not resident, not an index build)
+// publishes the bit the next chunk starts at with the window resolved
+// there. A worker whose pass-1 chunk starts at the published bit
+// translates it with that window itself, on its own core, and hands the
+// resolver a plain chunk. A worker that finishes pass 1 before the
+// window is published, and every chunk the resolver must stitch
+// otherwise, leaves translation to the resolver.
 
 // ErrNoFinalBlock is returned when the stream ends without a final
 // block (truncated input).
@@ -206,12 +215,27 @@ type run struct {
 	win, spare []byte
 	atStart    bool
 
+	// publishes is set when workers may translate: pub is then the
+	// resolver's last finished point.
+	publishes bool
+	pub       atomic.Pointer[published]
+
 	chunks    []ChunkMetrics // a resident run's: a stream's would grow with it
 	syncWall  time.Duration
 	pass1Wall time.Duration
 	pass2Seq  time.Duration
 	pass2Par  time.Duration
 	work      *workCounter
+}
+
+// published is where the next chunk starts, as the resolver last left
+// it: the absolute bit and the resolved 32 KiB window before it. The
+// window is the resolver's own r.win, which it overwrites two finishes
+// later; only the worker whose chunk starts at bit reads it, and the
+// resolver waits for that worker before it finishes the chunk.
+type published struct {
+	bit int64
+	win []byte
 }
 
 // initialRatio is the output-per-compressed-byte guess that sizes a
@@ -235,6 +259,7 @@ func (r *run) start(startBit int64, ctx []byte, outBase int64) {
 		r.workers = min(r.n, runtime.GOMAXPROCS(0)) - 1
 	}
 	r.tasks = map[int64]*task{}
+	r.publishes = r.workers > 0 && !r.resident && !r.exact
 	r.win, r.spare = tracked.GetWindow(), tracked.GetWindow()
 	r.atStart = ctx == nil
 	if ctx != nil {
@@ -355,7 +380,7 @@ func (r *run) dispatch(k int64) error {
 				go func() {
 					defer r.wg.Done()
 					for t := range r.queue {
-						r.runTask(t)
+						r.runTask(t, true)
 					}
 				}()
 			}
@@ -366,14 +391,61 @@ func (r *run) dispatch(k int64) error {
 }
 
 // runTask is a worker's job: sync the span, then pass 1 unless the
-// resolver abandoned the task meanwhile.
-func (r *run) runTask(t *task) {
+// resolver abandoned the task meanwhile. On a worker goroutine (not the
+// resolver running it while it waits) a chunk whose window is published
+// by then is translated too.
+func (r *run) runTask(t *task, worker bool) {
 	defer close(t.done)
 	defer t.unpin()
 	if !t.state.CompareAndSwap(taskQueued, taskSyncing) {
 		return
 	}
 	t.c, t.err = r.pass1(t)
+	if worker && t.err == nil && r.publishes && !t.c.measured {
+		r.translateOwn(t.c)
+	}
+}
+
+// translateOwn translates chunk c with the published window when c
+// starts where the resolver's last finished chunk ended, leaving c
+// symbolic (for the resolver) otherwise or when the translation fails.
+func (r *run) translateOwn(c *chunk) {
+	ready := func() bool {
+		p := r.pub.Load()
+		return p != nil && p.bit == c.start
+	}
+	if hook := translateHook.Load(); hook != nil && !(*hook)(ready) {
+		return
+	}
+	p := r.pub.Load()
+	if p == nil || p.bit != c.start {
+		return
+	}
+	t := time.Now()
+	out := getOutBuf(int(c.outN))[:c.outN]
+	if _, err := tracked.Resolve(c.sym.Out, p.win, out); err != nil {
+		putOutBuf(out)
+		return
+	}
+	c.sym.Release()
+	c.sym, c.plain, c.plainBuf = nil, out, out
+	c.m.Pass2 = time.Since(t)
+}
+
+// translateHook, when set, runs before a worker looks for its chunk's
+// window. Nil in production; see SetTranslateHook.
+var translateHook atomic.Pointer[func(ready func() bool) bool]
+
+// SetTranslateHook makes a worker that finished pass 1 call f, which
+// must not be nil, before it looks for the window its chunk starts
+// after, and returns a func that restores the previous hook. ready
+// reports whether that window is published now. The worker translates
+// only when f returns true and the window is published by then: a hook
+// that waits for ready forces the worker-side translation, one that
+// returns false the resolver-side one. Set it only while no decode runs.
+func SetTranslateHook(f func(ready func() bool) bool) (restore func()) {
+	prev := translateHook.Swap(&f)
+	return func() { translateHook.Store(prev) }
 }
 
 var errAbandoned = errors.New("core: task abandoned")
@@ -517,7 +589,7 @@ func (r *run) await(t *task) {
 				<-t.done
 				return
 			}
-			r.runTask(next)
+			r.runTask(next, false)
 		}
 	}
 }
@@ -767,6 +839,7 @@ func (r *run) finish(c *chunk) error {
 		*c = *nc
 	}
 	tSeq := time.Now()
+	var pass2 time.Duration // translation on this goroutine
 	prev := r.win
 	next := r.spare
 	var out []byte // the chunk's bytes, when translated or exact
@@ -790,15 +863,16 @@ func (r *run) finish(c *chunk) error {
 		if _, err := tracked.Resolve(c.sym.Out, prev, out); err != nil {
 			return err
 		}
-		c.m.Pass2 = time.Since(t)
-		r.pass2Par += c.m.Pass2
+		pass2 = time.Since(t)
+		c.m.Pass2 = pass2
 		shiftWindow(next, prev, out)
 	default:
 		if err := tracked.ResolveWindowInto(next, c.sym.Out, prev); err != nil {
 			return err
 		}
 	}
-	r.pass2Seq += time.Since(tSeq) - c.m.Pass2
+	r.pass2Seq += time.Since(tSeq) - pass2
+	r.pass2Par += c.m.Pass2 // a worker's translation included
 	if r.onCP != nil {
 		if err := r.checkpoints(c, prev, out); err != nil {
 			return err
@@ -824,6 +898,9 @@ func (r *run) finish(c *chunk) error {
 		r.chunks = append(r.chunks, c.m)
 	}
 	r.src.win.DiscardTo(r.bit / 8)
+	if r.publishes && r.out >= r.skipTo {
+		r.pub.Store(&published{bit: r.bit, win: r.win})
+	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,5 +263,57 @@ func TestSpeculationWindowCompaction(t *testing.T) {
 		if w := p.Work(); w.BitsTried == 0 {
 			t.Fatalf("measure=%v: no span was synced (%+v)", measure, w)
 		}
+	}
+}
+
+// TestTranslationPlacement forces both placements of a streaming run's
+// translation: a worker that waits for its chunk's window and
+// translates the chunk itself, and workers that leave every chunk to
+// the resolver. Bytes, pools, goroutines and the translation wall
+// (Metrics.Pass2ParWall, worker time included) must hold either way.
+func TestTranslationPlacement(t *testing.T) {
+	speculating(t)
+	data := corpusFastq(12000, 41)
+	payload := corpusPayload(t, 12000, 41, 6)
+	for _, worker := range []bool{true, false} {
+		var translated atomic.Int64
+		restore := SetTranslateHook(func(ready func() bool) bool {
+			if !worker {
+				return false
+			}
+			// Bounded: a chunk that does not stitch (a gap or a false
+			// start) never sees its window published.
+			for deadline := time.Now().Add(2 * time.Second); !ready() && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+			translated.Add(1)
+			return true
+		})
+		// Slow workers (under -race, say) would see every span taken
+		// over: each claim waits for its worker's sync.
+		restoreClaim := SetClaimHook(func(synced func() bool) {
+			for !synced() {
+				time.Sleep(50 * time.Microsecond)
+			}
+		})
+		b := startBalance()
+		p := NewPipeline(bytes.NewReader(payload), specOptions)
+		var got []byte
+		res, err := p.RunMemberOpts(MemberRun{Emit: func(c []byte) error { got = append(got, c...); return nil }})
+		restore()
+		restoreClaim()
+		p.Close()
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("worker=%v: err=%v, %d bytes, want %d", worker, err, len(got), len(data))
+		}
+		settle(t, "translation placement", b.goroutines)
+		b.check(t, "translation placement", 0)
+		if worker && translated.Load() == 0 {
+			t.Fatalf("no worker translated its chunk (work %+v)", res.Metrics.Work)
+		}
+		if res.Metrics.Pass2ParWall <= 0 {
+			t.Fatalf("worker=%v: no translation time in Pass2ParWall", worker)
+		}
+		t.Logf("worker=%v: %d chunks translated by workers, Pass2ParWall %v", worker, translated.Load(), res.Metrics.Pass2ParWall)
 	}
 }

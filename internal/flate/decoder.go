@@ -89,9 +89,11 @@ type Options struct {
 	NoFast bool
 }
 
+// The block output bounds a zero MaxBlockOutput / MinBlockOutput
+// selects.
 const (
-	defaultMaxBlockOutput = 4 << 20
-	defaultMinBlockOutput = 1 << 10
+	DefaultMaxBlockOutput = 4 << 20
+	DefaultMinBlockOutput = 1 << 10
 )
 
 // asciiOK is the default ValidByte table: printable ASCII, tab,
@@ -133,7 +135,8 @@ type Decoder struct {
 	fastDist huffman.DistFast
 	fastCtx  FastCtx
 
-	valid func(byte) bool
+	// valid is the ValidByte predicate as a table (under Validate only).
+	valid [256]bool
 	// produced counts bytes emitted in the current block (validation).
 	produced int
 	// total counts bytes emitted across the stream, used to reject
@@ -155,15 +158,20 @@ func NewDecoder(opts Options) *Decoder {
 // Huffman tables need no clearing: every block re-Inits them.
 func (d *Decoder) reset(opts Options) {
 	d.opts = opts
-	d.valid = opts.ValidByte
-	if d.valid == nil {
-		d.valid = ASCIIByte
+	if opts.Validate {
+		valid := opts.ValidByte
+		if valid == nil {
+			valid = ASCIIByte
+		}
+		for b := range d.valid {
+			d.valid[b] = valid(byte(b))
+		}
 	}
 	if d.opts.MaxBlockOutput == 0 {
-		d.opts.MaxBlockOutput = defaultMaxBlockOutput
+		d.opts.MaxBlockOutput = DefaultMaxBlockOutput
 	}
 	if d.opts.MinBlockOutput == 0 {
-		d.opts.MinBlockOutput = defaultMinBlockOutput
+		d.opts.MinBlockOutput = DefaultMinBlockOutput
 	}
 	d.produced = 0
 	d.total = 0
@@ -308,7 +316,7 @@ func (d *Decoder) decodeStored(r *bitio.Reader, v Visitor, ev BlockEvent) error 
 		return v.BlockEnd(r.BitPos())
 	}
 	for _, b := range buf {
-		if d.opts.Validate && !d.valid(b) {
+		if d.opts.Validate && !d.valid[b] {
 			return ErrNonASCII
 		}
 		if err := v.Literal(b); err != nil {
@@ -345,6 +353,12 @@ func (d *Decoder) readDynamicHeader(r *bitio.Reader) error {
 		// encodable, but hlit can reach 286+? 5 bits -> 257..288.
 		return fmt.Errorf("%w: HLIT=%d", ErrBadHuffmanTree, hlit)
 	}
+	// A probe also holds the header to what encoders write and zlib and
+	// compress/flate accept: at most 286 literal/length and 30 distance
+	// codes (HLIT, HDIST <= 29).
+	if quiet && (hlit > MaxLitLenCodes || hdist > MaxDistCodes) {
+		return ErrBadHuffmanTree
+	}
 
 	clear(d.clLens[:])
 	for i := 0; i < hclen; i++ {
@@ -365,7 +379,7 @@ func (d *Decoder) readDynamicHeader(r *bitio.Reader) error {
 	lens := d.lengths[:total]
 	clear(lens)
 	for i := 0; i < total; {
-		sym, err := d.codeLen.Decode(r)
+		sym, err := decodeSym(&d.codeLen, r)
 		if err != nil {
 			if quiet {
 				return ErrBadHuffmanTree
@@ -516,7 +530,7 @@ func (d *Decoder) decodeCompressedWith(r *bitio.Reader, v Visitor, ev BlockEvent
 			// Fall through: decode exactly one token the scalar way,
 			// then hand control back to the fast loop.
 		}
-		sym, err := litLen.Decode(r)
+		sym, err := decodeSym(litLen, r)
 		if err != nil {
 			if validate {
 				return ErrTruncated
@@ -526,7 +540,7 @@ func (d *Decoder) decodeCompressedWith(r *bitio.Reader, v Visitor, ev BlockEvent
 		switch {
 		case sym < 256:
 			b := byte(sym)
-			if validate && !d.valid(b) {
+			if validate && !d.valid[b] {
 				return ErrNonASCII
 			}
 			d.produced++
@@ -553,7 +567,7 @@ func (d *Decoder) decodeCompressedWith(r *bitio.Reader, v Visitor, ev BlockEvent
 			}
 			length := int(lengthBase[lsym]) + int(extra)
 
-			dsym, err := dist.Decode(r)
+			dsym, err := decodeSym(dist, r)
 			if err != nil {
 				if validate {
 					return ErrTruncated
@@ -581,4 +595,17 @@ func (d *Decoder) decodeCompressedWith(r *bitio.Reader, v Visitor, ev BlockEvent
 			}
 		}
 	}
+}
+
+// decodeSym reads one symbol of h from r. It is h.Decode(r) over the
+// concrete reader, so the table walk and the reader's methods inline
+// into the scalar loop; a miss or a truncated code takes Decode for its
+// error.
+func decodeSym(h *huffman.Decoder, r *bitio.Reader) (int, error) {
+	sym, l := h.Lookup(r.Peek(huffman.MaxCodeLen))
+	if l == 0 || int64(l) > r.Len() {
+		return h.Decode(r)
+	}
+	r.Consume(l) // Peek left min(56, Len()) >= l bits buffered
+	return sym, nil
 }

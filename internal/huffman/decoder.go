@@ -243,11 +243,7 @@ type BitSource interface {
 // Peek zero-fills past the end, so a "successful" table hit whose code
 // length exceeds the remaining bit count is actually truncated input.
 func (d *Decoder) Decode(src BitSource) (int, error) {
-	e := d.primary[src.Peek(primaryBits)]
-	if e.indirect() {
-		e = d.sub[e.symbol()][src.Peek(d.maxLen)>>primaryBits]
-	}
-	l := e.length()
+	sym, l := d.Lookup(src.Peek(MaxCodeLen))
 	if l == 0 {
 		return 0, ErrInvalidCode
 	}
@@ -257,5 +253,18 @@ func (d *Decoder) Decode(src BitSource) (int, error) {
 	if err := src.Drop(l); err != nil {
 		return 0, err
 	}
-	return e.symbol(), nil
+	return sym, nil
+}
+
+// Lookup is Decode's table walk without the bit source: next holds the
+// next MaxCodeLen stream bits (LSB first), and the result is the symbol
+// and the code length to consume, 0 when no code matches. A caller
+// holding a concrete reader decodes without an interface call per
+// symbol, and must itself check the length against the bits left.
+func (d *Decoder) Lookup(next uint32) (sym int, length uint) {
+	e := d.primary[next&(1<<primaryBits-1)]
+	if e.indirect() {
+		e = d.sub[e.symbol()][next&(1<<d.maxLen-1)>>primaryBits]
+	}
+	return e.symbol(), e.length()
 }

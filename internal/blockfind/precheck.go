@@ -98,11 +98,6 @@ func (f *Finder) candidates(data []byte, lo int64, n int) uint64 {
 	return ok
 }
 
-// plausible is candidates for the one position bit.
-func (f *Finder) plausible(data []byte, bit int64) bool {
-	return f.candidates(data, bit, 1) != 0
-}
-
 // bitsAt returns the 64 stream bits of data from bit on, zero past its
 // end.
 func bitsAt(data []byte, bit int64) uint64 {
@@ -121,11 +116,10 @@ func bitsAt(data []byte, bit int64) uint64 {
 	return w
 }
 
-// After a Refill a cursor holds at least 56 bits, or every bit left in
-// data: so "fewer than need bits, need <= 56" is the decoder's
+// The three block types' tests take the bit just past the header. A
+// cursor after a Refill holds at least 56 bits, or every bit left in
+// data, so "fewer than need bits, need <= 56" is the decoder's
 // truncation error.
-
-// The three block types' tests take the bit just past the header.
 
 func (f *Finder) storedOK(data []byte, bit int64) bool {
 	lens := bitsAt(data, (bit+7)&^7) // LEN, NLEN at the next byte boundary

@@ -185,7 +185,7 @@ func FuzzSyncPrecheck(f *testing.F) {
 			opts.ValidByte = digits
 		}
 		fd := NewWithOptions(opts)
-		if fd.plausible(data, at) {
+		if fd.candidates(data, at, 1) != 0 {
 			return
 		}
 		r := bitio.NewReader(data)

@@ -230,3 +230,28 @@ func TestReaderAllocBudget(t *testing.T) {
 // readerAllocBudget sits between the chunk scheduler's measured ~0.9
 // and the batch pipeline's 3.1.
 const readerAllocBudget = 2.0
+
+// TestIndexBuildAllocBudget: a streaming index build hands its source
+// window's array and its reader's segment buffers on (srcbuf's
+// Recycle), so a build that follows another allocates, beyond the 32
+// KiB window of each checkpoint it keeps, less than the gzip file it
+// reads. Without the recycling each build allocated its window anew,
+// up to twice the gzip size, and ~1 MB of 512 KiB segment buffers.
+func TestIndexBuildAllocBudget(t *testing.T) {
+	_, gz := allocCorpus(t)
+	var ix *Index
+	var err error
+	alloc := allocBytes(func() {
+		ix, err = NewIndexFromReader(bytes.NewReader(gz), 256<<10, StreamOptions{Threads: 2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := uint64(ix.Checkpoints()) * (32 << 10)
+	t.Logf("%d bytes allocated for %d checkpoints (%d bytes of windows), gzip %d bytes",
+		alloc, ix.Checkpoints(), windows, len(gz))
+	if alloc > windows && alloc-windows >= uint64(len(gz)) {
+		t.Errorf("index build allocated %d bytes beyond its %d bytes of checkpoint windows, want less than the gzip's %d",
+			alloc-windows, windows, len(gz))
+	}
+}

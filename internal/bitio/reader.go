@@ -114,17 +114,6 @@ type Cursor struct {
 // Cursor returns the reader's current position.
 func (r *Reader) Cursor() Cursor { return Cursor{r.acc, r.n, r.pos} }
 
-// CursorAt returns a refilled Cursor at absolute bit bitOffset of data,
-// which must lie in [0, 8*len(data)]: a Reader's Reset by value, for a
-// scan that looks at every bit offset without a Reader to reposition.
-func CursorAt(data []byte, bitOffset int64) Cursor {
-	c := Cursor{pos: int(bitOffset >> 3)}.Refill(data)
-	return c.Consume(min(uint(bitOffset&7), c.n))
-}
-
-// BitPos returns the absolute bit offset of the cursor's next unread bit.
-func (c Cursor) BitPos() int64 { return int64(c.pos)*8 - int64(c.n) }
-
 // Commit moves the reader to c, a Cursor taken from r and advanced
 // over r's own data.
 func (r *Reader) Commit(c Cursor) { r.acc, r.n, r.pos = c.acc, c.n, c.pos }

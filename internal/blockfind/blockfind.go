@@ -6,9 +6,10 @@
 // to find one is to attempt decompression at every bit offset and rely
 // on stringent checks to fail fast on false candidates:
 //
-//   - a structural precheck first (precheck.go): the header under the
-//     rules below, a stored block's LEN/NLEN, a dynamic block's whole
-//     code-length description and tree completeness, and a fixed
+//   - a structural precheck first (flate.Decoder.Candidates, run by the
+//     candidate decoder itself, 64 bits at a time): the header under
+//     the rules below, a stored block's LEN/NLEN, a dynamic block's
+//     whole code-length description and tree completeness, and a fixed
 //     block's first symbols, read from the bits in place. It rejects
 //     only what the decode would reject, and almost every false
 //     candidate stops there;
@@ -62,12 +63,6 @@ type Finder struct {
 	// ErrStopped: a scheduler that no longer needs the block start
 	// abandons the probe without waiting for it to finish.
 	Stop *atomic.Bool
-
-	// rules, fixedHead and the scratch below serve the precheck.
-	rules     rules
-	fixedHead *fixedHead
-	precode   [1 << 7]uint16
-	lens      [flate.MaxLitLenCodes + flate.MaxDistCodes]uint8
 }
 
 // ErrStopped is returned by a search whose Finder.Stop was set.
@@ -90,14 +85,11 @@ func NewWithOptions(opts flate.Options) *Finder {
 	opts.Validate = true
 	confirmOpts := opts
 	confirmOpts.AllowFinal = true
-	f := &Finder{
+	return &Finder{
 		candidate:     flate.NewDecoder(opts),
 		confirm:       flate.NewDecoder(confirmOpts),
 		Confirmations: DefaultConfirmations,
 	}
-	f.rules = newRules(opts)
-	f.fixedHead = fixedHeadFor(f.rules)
-	return f
 }
 
 // Next returns the bit offset of the first confirmed DEFLATE block
@@ -129,7 +121,7 @@ func (f *Finder) NextBefore(data []byte, fromBit, limitBit int64) (int64, error)
 		}
 		n := int(min(limitBit-lo, 64))
 		decoded := int64(0) // candidates that decoded one block
-		for m := f.candidates(data, lo, n); m != 0; m &= m - 1 {
+		for m := f.candidate.Candidates(f.reader, lo, n); m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			bit := lo + int64(i)
 			if err := f.reader.Reset(bit); err != nil {

@@ -185,10 +185,10 @@ func FuzzSyncPrecheck(f *testing.F) {
 			opts.ValidByte = digits
 		}
 		fd := NewWithOptions(opts)
-		if fd.candidates(data, at, 1) != 0 {
+		r := bitio.NewReader(data)
+		if fd.candidate.Candidates(r, at, 1) != 0 {
 			return
 		}
-		r := bitio.NewReader(data)
 		if err := r.Reset(at); err != nil {
 			t.Fatal(err)
 		}

@@ -89,11 +89,9 @@ type Options struct {
 	NoFast bool
 }
 
-// The block output bounds a zero MaxBlockOutput / MinBlockOutput
-// selects.
 const (
-	DefaultMaxBlockOutput = 4 << 20
-	DefaultMinBlockOutput = 1 << 10
+	defaultMaxBlockOutput = 4 << 20
+	defaultMinBlockOutput = 1 << 10
 )
 
 // asciiOK is the default ValidByte table: printable ASCII, tab,
@@ -168,10 +166,10 @@ func (d *Decoder) reset(opts Options) {
 		}
 	}
 	if d.opts.MaxBlockOutput == 0 {
-		d.opts.MaxBlockOutput = DefaultMaxBlockOutput
+		d.opts.MaxBlockOutput = defaultMaxBlockOutput
 	}
 	if d.opts.MinBlockOutput == 0 {
-		d.opts.MinBlockOutput = DefaultMinBlockOutput
+		d.opts.MinBlockOutput = defaultMinBlockOutput
 	}
 	d.produced = 0
 	d.total = 0
@@ -335,6 +333,31 @@ func (d *Decoder) decodeStored(r *bitio.Reader, v Visitor, ev BlockEvent) error 
 // readDynamicHeader parses HLIT/HDIST/HCLEN and the two code-length-
 // compressed trees, leaving d.litLen and d.dist initialised.
 func (d *Decoder) readDynamicHeader(r *bitio.Reader) error {
+	if err := d.readCodeLengths(r); err != nil {
+		return err
+	}
+	quiet := d.opts.Validate
+	lens := d.lengths[:d.hlit+d.hdist]
+	if err := d.litLen.Init(lens[:d.hlit], false); err != nil {
+		if quiet {
+			return ErrBadHuffmanTree
+		}
+		return fmt.Errorf("%w: litlen tree: %w", ErrBadHuffmanTree, err)
+	}
+	if err := d.dist.Init(lens[d.hlit:], true); err != nil {
+		if quiet {
+			return ErrBadHuffmanTree
+		}
+		return fmt.Errorf("%w: dist tree: %w", ErrBadHuffmanTree, err)
+	}
+	return nil
+}
+
+// readCodeLengths reads a dynamic header up to its two trees: HLIT,
+// HDIST and HCLEN into d.hlit and d.hdist, the precode, and the
+// HLIT+HDIST code lengths it codes into d.lengths. Candidates runs it
+// too, so a block scanner rejects a false start by the same rules.
+func (d *Decoder) readCodeLengths(r *bitio.Reader) error {
 	counts, err := r.Take(14)
 	if err != nil {
 		return ErrTruncated
@@ -356,7 +379,7 @@ func (d *Decoder) readDynamicHeader(r *bitio.Reader) error {
 	// A probe also holds the header to what encoders write and zlib and
 	// compress/flate accept: at most 286 literal/length and 30 distance
 	// codes (HLIT, HDIST <= 29).
-	if quiet && (hlit > MaxLitLenCodes || hdist > MaxDistCodes) {
+	if quiet && (hlit > maxLitLenCodes || hdist > maxDistCodes) {
 		return ErrBadHuffmanTree
 	}
 
@@ -379,7 +402,7 @@ func (d *Decoder) readDynamicHeader(r *bitio.Reader) error {
 	lens := d.lengths[:total]
 	clear(lens)
 	for i := 0; i < total; {
-		sym, err := decodeSym(&d.codeLen, r)
+		sym, err := d.codeLen.Decode(r)
 		if err != nil {
 			if quiet {
 				return ErrBadHuffmanTree
@@ -452,18 +475,6 @@ func (d *Decoder) readDynamicHeader(r *bitio.Reader) error {
 		}
 		return fmt.Errorf("%w: no end-of-block code", ErrBadHuffmanTree)
 	}
-	if err := d.litLen.Init(lens[:hlit], false); err != nil {
-		if quiet {
-			return ErrBadHuffmanTree
-		}
-		return fmt.Errorf("%w: litlen tree: %w", ErrBadHuffmanTree, err)
-	}
-	if err := d.dist.Init(lens[hlit:total], true); err != nil {
-		if quiet {
-			return ErrBadHuffmanTree
-		}
-		return fmt.Errorf("%w: dist tree: %w", ErrBadHuffmanTree, err)
-	}
 	return nil
 }
 
@@ -530,7 +541,7 @@ func (d *Decoder) decodeCompressedWith(r *bitio.Reader, v Visitor, ev BlockEvent
 			// Fall through: decode exactly one token the scalar way,
 			// then hand control back to the fast loop.
 		}
-		sym, err := decodeSym(litLen, r)
+		sym, err := litLen.Decode(r)
 		if err != nil {
 			if validate {
 				return ErrTruncated
@@ -567,7 +578,7 @@ func (d *Decoder) decodeCompressedWith(r *bitio.Reader, v Visitor, ev BlockEvent
 			}
 			length := int(lengthBase[lsym]) + int(extra)
 
-			dsym, err := decodeSym(dist, r)
+			dsym, err := dist.Decode(r)
 			if err != nil {
 				if validate {
 					return ErrTruncated
@@ -595,17 +606,4 @@ func (d *Decoder) decodeCompressedWith(r *bitio.Reader, v Visitor, ev BlockEvent
 			}
 		}
 	}
-}
-
-// decodeSym reads one symbol of h from r. It is h.Decode(r) over the
-// concrete reader, so the table walk and the reader's methods inline
-// into the scalar loop; a miss or a truncated code takes Decode for its
-// error.
-func decodeSym(h *huffman.Decoder, r *bitio.Reader) (int, error) {
-	sym, l := h.Lookup(r.Peek(huffman.MaxCodeLen))
-	if l == 0 || int64(l) > r.Len() {
-		return h.Decode(r)
-	}
-	r.Consume(l) // Peek left min(56, Len()) >= l bits buffered
-	return sym, nil
 }

@@ -50,11 +50,11 @@ const (
 	// maxLitLenSyms / maxDistSyms are the alphabet sizes.
 	maxLitLenSyms = 288
 	maxDistSyms   = 32
-	// MaxLitLenCodes / MaxDistCodes are the most codes a dynamic header
+	// maxLitLenCodes / maxDistCodes are the most codes a dynamic header
 	// may declare under Validate (HLIT, HDIST <= 29): symbols 286, 287,
 	// 30 and 31 never occur in a valid stream.
-	MaxLitLenCodes = 286
-	MaxDistCodes   = 30
+	maxLitLenCodes = 286
+	maxDistCodes   = 30
 	// numCodeLenSyms is the size of the code-length alphabet used to
 	// compress the dynamic-tree description itself.
 	numCodeLenSyms = 19
@@ -91,20 +91,9 @@ var codeLenOrder = [numCodeLenSyms]uint8{
 	16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 }
 
-// CodeLenOrder returns the code-length symbol whose code length a
-// dynamic header transmits i-th, for i < 19.
-func CodeLenOrder(i int) int { return int(codeLenOrder[i]) }
-
-// LengthCode returns the base match length and the extra bits of
-// length symbol 257+i, for i < 29.
-func LengthCode(i int) (base, extra int) { return int(lengthBase[i]), int(lengthExtra[i]) }
-
-// DistExtra returns the extra bits of distance symbol i, for i < 30.
-func DistExtra(i int) int { return int(distExtra[i]) }
-
-// FixedLitLenLengths returns the code lengths of the fixed
+// fixedLitLenLengths returns the code lengths of the fixed
 // literal/length tree (section 3.2.6).
-func FixedLitLenLengths() []uint8 {
+func fixedLitLenLengths() []uint8 {
 	l := make([]uint8, maxLitLenSyms)
 	for i := 0; i <= 143; i++ {
 		l[i] = 8
@@ -140,7 +129,7 @@ func fixedDistLengths() []uint8 {
 func fixedTables() (litLen, dist *huffman.Decoder) {
 	fixedOnce.Do(func() {
 		var err error
-		if err = fixedLit.Init(FixedLitLenLengths(), false); err == nil {
+		if err = fixedLit.Init(fixedLitLenLengths(), false); err == nil {
 			err = fixedDist.Init(fixedDistLengths(), true)
 		}
 		if err != nil {
@@ -162,7 +151,7 @@ var (
 func fixedFastTables() (*huffman.LitLenFast, *huffman.DistFast) {
 	fixedFastOnce.Do(func() {
 		var err error
-		if err = fixedFastLit.Init(FixedLitLenLengths(), lengthBase[:], lengthExtra[:]); err == nil {
+		if err = fixedFastLit.Init(fixedLitLenLengths(), lengthBase[:], lengthExtra[:]); err == nil {
 			err = fixedFastDist.Init(fixedDistLengths(), distBase[:], distExtra[:])
 		}
 		if err != nil {

@@ -104,40 +104,9 @@ func (d *Decoder) Init(lengths []uint8, allowIncomplete bool) error {
 		return nil
 	}
 	d.memoOK = false
-	var count [MaxCodeLen + 1]int
-	total := 0
-	for _, l := range lengths {
-		if l > MaxCodeLen {
-			return ErrBadLength
-		}
-		if l > 0 {
-			count[l]++
-			total++
-		}
-	}
-	if total == 0 {
-		return ErrNoCodes
-	}
-
-	// Kraft check and min/max lengths.
-	minLen, maxLen := uint(0), uint(0)
-	left := 1 // code space remaining, doubling each level
-	for l := 1; l <= MaxCodeLen; l++ {
-		left <<= 1
-		left -= count[l]
-		if left < 0 {
-			return ErrOversubscribed
-		}
-		if count[l] > 0 {
-			if minLen == 0 {
-				minLen = uint(l)
-			}
-			maxLen = uint(l)
-		}
-	}
-	complete := left == 0
-	if !complete && !allowIncomplete {
-		return ErrIncomplete
+	count, minLen, maxLen, complete, err := kraft(lengths, allowIncomplete)
+	if err != nil {
+		return err
 	}
 
 	// First code value per length (canonical ordering).
@@ -208,6 +177,51 @@ func (d *Decoder) Init(lengths []uint8, allowIncomplete bool) error {
 	return nil
 }
 
+// Check returns the error Init would return for lengths, without
+// building tables: a block scanner rejects a false tree description
+// with it before paying for one.
+func Check(lengths []uint8, allowIncomplete bool) error {
+	_, _, _, _, err := kraft(lengths, allowIncomplete)
+	return err
+}
+
+// kraft validates a code set: the count of codes per length, the
+// shortest and longest length, and whether the Kraft sum is exactly 1.
+func kraft(lengths []uint8, allowIncomplete bool) (count [MaxCodeLen + 1]int, minLen, maxLen uint, complete bool, err error) {
+	total := 0
+	for _, l := range lengths {
+		if l > MaxCodeLen {
+			return count, 0, 0, false, ErrBadLength
+		}
+		if l > 0 {
+			count[l]++
+			total++
+		}
+	}
+	if total == 0 {
+		return count, 0, 0, false, ErrNoCodes
+	}
+	left := 1 // code space remaining, doubling each level
+	for l := 1; l <= MaxCodeLen; l++ {
+		left <<= 1
+		left -= count[l]
+		if left < 0 {
+			return count, 0, 0, false, ErrOversubscribed
+		}
+		if count[l] > 0 {
+			if minLen == 0 {
+				minLen = uint(l)
+			}
+			maxLen = uint(l)
+		}
+	}
+	complete = left == 0
+	if !complete && !allowIncomplete {
+		return count, 0, 0, false, ErrIncomplete
+	}
+	return count, minLen, maxLen, complete, nil
+}
+
 // reverseBits reverses the low n bits of v.
 func reverseBits(v uint32, n uint) uint32 {
 	var r uint32
@@ -243,7 +257,11 @@ type BitSource interface {
 // Peek zero-fills past the end, so a "successful" table hit whose code
 // length exceeds the remaining bit count is actually truncated input.
 func (d *Decoder) Decode(src BitSource) (int, error) {
-	sym, l := d.Lookup(src.Peek(MaxCodeLen))
+	e := d.primary[src.Peek(primaryBits)]
+	if e.indirect() {
+		e = d.sub[e.symbol()][src.Peek(d.maxLen)>>primaryBits]
+	}
+	l := e.length()
 	if l == 0 {
 		return 0, ErrInvalidCode
 	}
@@ -253,18 +271,5 @@ func (d *Decoder) Decode(src BitSource) (int, error) {
 	if err := src.Drop(l); err != nil {
 		return 0, err
 	}
-	return sym, nil
-}
-
-// Lookup is Decode's table walk without the bit source: next holds the
-// next MaxCodeLen stream bits (LSB first), and the result is the symbol
-// and the code length to consume, 0 when no code matches. A caller
-// holding a concrete reader decodes without an interface call per
-// symbol, and must itself check the length against the bits left.
-func (d *Decoder) Lookup(next uint32) (sym int, length uint) {
-	e := d.primary[next&(1<<primaryBits-1)]
-	if e.indirect() {
-		e = d.sub[e.symbol()][next&(1<<d.maxLen-1)>>primaryBits]
-	}
-	return e.symbol(), e.length()
+	return e.symbol(), nil
 }

@@ -114,8 +114,11 @@ func (w *Window) read(r io.Reader, readSize int) {
 		select {
 		case buf = <-w.spent:
 		default:
-			buf = make([]byte, readSize)
+			if buf = take(spareSegs, readSize); buf == nil {
+				buf = make([]byte, readSize)
+			}
 		}
+		buf = buf[:readSize]
 		n, err := r.Read(buf)
 		if n == 0 && err == nil {
 			continue
@@ -124,6 +127,7 @@ func (w *Window) read(r io.Reader, readSize int) {
 		select {
 		case w.segs <- seg:
 		case <-w.cancel:
+			keep(spareSegs, buf)
 			return
 		}
 		if err != nil {
@@ -231,7 +235,7 @@ func (w *Window) relocate(n int) {
 	buf, pins := w.spare, w.sparePins
 	if pins == nil || pins.Load() != 0 || cap(buf) < need {
 		if pins != nil && pins.Load() == 0 {
-			keepArray(buf) // too small here, maybe not for the next window
+			keep(spareArrays, buf) // too small here, maybe not for the next window
 		}
 		buf, pins = takeArray(need), new(atomic.Int32)
 	}
@@ -242,29 +246,42 @@ func (w *Window) relocate(n int) {
 // spareArrays keeps the backing arrays of finished windows (Recycle)
 // for the next window to grow into, so a stream of short-lived windows
 // stops allocating its buffer from scratch each time. Two slots hold
-// one window's pair of arrays.
-var spareArrays = make(chan []byte, 2)
+// one window's pair of arrays. spareSegs does the same for the reader
+// goroutine's segment buffers.
+var (
+	spareArrays = make(chan []byte, 2)
+	spareSegs   = make(chan []byte, DefaultPrefetch+1)
+)
 
 // takeArray returns an empty array with room for at least n bytes: a
-// kept one (dropping those too small on the way) or a new one of twice
-// n, so a growing window relocates O(log) times.
+// kept one or a new one of twice n, so a growing window relocates
+// O(log) times.
 func takeArray(n int) []byte {
+	if b := take(spareArrays, n); b != nil {
+		return b[:0]
+	}
+	return make([]byte, 0, 2*n)
+}
+
+// take returns a buffer kept in spares with room for at least n bytes,
+// dropping those too small on the way, or nil.
+func take(spares chan []byte, n int) []byte {
 	for {
 		select {
-		case b := <-spareArrays:
+		case b := <-spares:
 			if cap(b) >= n {
-				return b[:0]
+				return b
 			}
 		default:
-			return make([]byte, 0, 2*n)
+			return nil
 		}
 	}
 }
 
-func keepArray(b []byte) {
+func keep(spares chan []byte, b []byte) {
 	if cap(b) > 0 {
 		select {
-		case spareArrays <- b[:0]:
+		case spares <- b[:0]:
 		default:
 		}
 	}
@@ -276,12 +293,20 @@ func keepArray(b []byte) {
 // for MaxBuffered and Close.
 func (w *Window) Recycle() {
 	if w.pins.Load() == 0 {
-		keepArray(w.buf)
+		keep(spareArrays, w.buf)
 	}
 	if w.sparePins != nil && w.sparePins.Load() == 0 {
-		keepArray(w.spare)
+		keep(spareArrays, w.spare)
 	}
 	w.buf, w.spare, w.off = nil, nil, 0
+	for {
+		select {
+		case b := <-w.spent:
+			keep(spareSegs, b)
+		default:
+			return
+		}
+	}
 }
 
 // Pin returns the live window for a reader on another goroutine, with
